@@ -502,10 +502,13 @@ func (c *Controller) apply(e Event) {
 		kept := c.flaps[:0]
 		for _, f := range c.flaps {
 			if nodesEqual(f.srcs, e.Group[0]) && nodesEqual(f.dsts, e.Group[1]) {
-				// Heal whatever the coin currently holds cut.
-				for key, cut := range f.state {
-					if cut {
-						c.healPair(topology.NodeID(key[0]), topology.NodeID(key[1]))
+				// Heal whatever the coin currently holds cut, in roll
+				// order (not map order) so the transition log replays.
+				for _, s := range f.srcs {
+					for _, d := range f.dsts {
+						if f.state[[2]int{int(s), int(d)}] {
+							c.healPair(s, d)
+						}
 					}
 				}
 				continue

@@ -122,6 +122,19 @@ func (m *rangeMachine) upsert(key string, v rval) bool {
 	return true
 }
 
+// install applies a client write (single-key put/delete or a committed
+// txn write) unconditionally. The machine, not the client, orders these:
+// the cell's version is raised above the current one, so a write whose
+// client-drawn version lost a race with a higher-versioned commit still
+// lands instead of being dropped after it was acknowledged. Every replica
+// applies the same log from the same state, so the raise is deterministic.
+func (m *rangeMachine) install(key string, v rval) {
+	if cur, ok := m.data[key]; ok && v.ver <= cur.ver {
+		v.ver = cur.ver + 1
+	}
+	m.upsert(key, v)
+}
+
 func (m *rangeMachine) Apply(cmd []byte) []byte {
 	d := &wdec{buf: cmd}
 	op := d.u8()
@@ -142,7 +155,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		if owner, locked := m.locks[key]; locked {
 			return wAppendU64([]byte{rspLocked}, owner)
 		}
-		m.upsert(key, rval{val: val, ver: ver, dead: op == rmOpDel})
+		m.install(key, rval{val: val, ver: ver, dead: op == rmOpDel})
 		return []byte{rspOK}
 
 	case rmOpGet:
@@ -302,8 +315,8 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 	return resp
 }
 
-// applyCommit installs a committed txn's writes at the commit version
-// and releases its locks. Idempotent: recovery may replay it.
+// applyCommit installs a committed txn's writes at (at least) the commit
+// version and releases its locks. Idempotent: recovery may replay it.
 func (m *rangeMachine) applyCommit(d *wdec) []byte {
 	txn := d.u64()
 	ver := d.u64()
@@ -315,7 +328,14 @@ func (m *rangeMachine) applyCommit(d *wdec) []byte {
 		return []byte{rspOK}
 	}
 	for _, w := range writes {
-		m.upsert(w.Key, rval{val: w.Val, ver: ver, dead: w.Del})
+		// Only keys this txn still holds are pending. A replay after the
+		// range split or merged (done[] did not move with it) finds the
+		// lock released: that write already landed and may since have
+		// been overwritten, so re-installing it would roll the key back.
+		if owner, locked := m.locks[w.Key]; !locked || owner != txn {
+			continue
+		}
+		m.install(w.Key, rval{val: w.Val, ver: ver, dead: w.Del})
 	}
 	m.releaseLocks(txn)
 	m.done[txn] = txnApplied

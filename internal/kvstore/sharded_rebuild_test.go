@@ -339,3 +339,54 @@ func TestShardedTopologyArgumentErrors(t *testing.T) {
 		t.Fatalf("RangeCount after rejected topology ops = %d, want 2", got)
 	}
 }
+
+// TestPutAfterHigherVersionedCommitLands forces the lost-update
+// interleaving: a client draws a Put version, a transaction then commits
+// the same key at a higher version, and only then does the Put apply.
+// The Put was acknowledged, so it must be the key's value afterwards —
+// the range machine orders client writes by apply, not by the version
+// the client drew.
+func TestPutAfterHigherVersionedCommitLands(t *testing.T) {
+	rm := newRangeMachine()
+	rm.Apply(encRmAdopt("", "", nil))
+	const putVer, commitVer = 5, 9
+	if resp := rm.Apply(encRmPrepare(1, false, []string{"k"}, []string{"k"})); resp[0] != rspOK {
+		t.Fatalf("prepare = % x", resp)
+	}
+	if resp := rm.Apply(encRmApply(1, commitVer, []rmWrite{{Key: "k", Val: []byte("txn")}})); resp[0] != rspOK {
+		t.Fatalf("apply = % x", resp)
+	}
+	if resp := rm.Apply(encRmPut("k", []byte("put"), putVer)); resp[0] != rspOK {
+		t.Fatalf("put = % x", resp)
+	}
+	cell := rm.data["k"]
+	if string(cell.val) != "put" || cell.ver <= commitVer {
+		t.Fatalf("after late put: k = %q@%d, want \"put\" above version %d", cell.val, cell.ver, commitVer)
+	}
+	// A later delete drawn at an even older version also lands.
+	if resp := rm.Apply(encRmDel("k", 1)); resp[0] != rspOK {
+		t.Fatalf("del = % x", resp)
+	}
+	if c := rm.data["k"]; !c.dead || c.ver <= cell.ver {
+		t.Fatalf("after late delete: k = %+v, want a tombstone above version %d", c, cell.ver)
+	}
+}
+
+// TestReplayedApplyDoesNotRollBack pins commit idempotence across range
+// changes: a recovery replay of a txn's apply on a machine that never
+// recorded it as done (its range merged away from the one that applied
+// it) finds the key unlocked and must not reinstall the old write over
+// a newer one.
+func TestReplayedApplyDoesNotRollBack(t *testing.T) {
+	merged := newRangeMachine()
+	merged.Apply(encRmAdopt("", "", []kvPair{{key: "k", rval: rval{val: []byte("txn"), ver: 9}}}))
+	if resp := merged.Apply(encRmPut("k", []byte("newer"), 10)); resp[0] != rspOK {
+		t.Fatalf("put = % x", resp)
+	}
+	if resp := merged.Apply(encRmApply(1, 9, []rmWrite{{Key: "k", Val: []byte("txn")}})); resp[0] != rspOK {
+		t.Fatalf("replayed apply = % x", resp)
+	}
+	if got := string(merged.data["k"].val); got != "newer" {
+		t.Fatalf("replayed apply rolled k back to %q, want \"newer\"", got)
+	}
+}

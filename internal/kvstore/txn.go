@@ -340,9 +340,10 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 
 // resumeTxn re-drives a committed transaction to completion. The write
 // set is routed through the current directory — safe because every
-// touched key is still locked by this txn, and ranges with locks cannot
-// have split or merged away from under it (freeze refuses spans with
-// live locks).
+// key not yet applied is still locked by this txn, and ranges with locks
+// cannot have split or merged away from under it (freeze refuses spans
+// with live locks). Keys a crashed apply already landed are unlocked,
+// and the range machine skips them on replay.
 func (s *Sharded) resumeTxn(rec txnRecSnap) error {
 	byRange := map[uint64][]rmWrite{}
 	for _, w := range rec.Writes {

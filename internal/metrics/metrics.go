@@ -132,14 +132,13 @@ func bucketUpper(idx int) int64 {
 	return base * 2
 }
 
-// Observe records one value. No-op on a nil receiver.
+// Observe records one value. No-op on a nil receiver. Min and max move
+// before the bucket count does, so a reader that sees the bucket also
+// sees a max at least as large as the value.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.min.Load()
 		if v >= cur || h.min.CompareAndSwap(cur, v) {
@@ -152,6 +151,9 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
+	h.buckets[bucketIndex(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
 // ObserveDuration records d in nanoseconds.
@@ -201,46 +203,75 @@ func (h *Histogram) Max() int64 {
 // Quantile returns an upper-bound estimate of the q-quantile (0 <= q <= 1).
 // It returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
+	if h == nil {
 		return 0
 	}
-	if q < 0 {
-		q = 0
+	v := h.view()
+	return v.quantile(q)
+}
+
+// histView is one pass over a histogram's buckets. The count, every
+// quantile and the clamp to max all derive from it, so observations that
+// land mid-read cannot put a higher quantile below a lower one.
+type histView struct {
+	buckets [126]int64
+	count   int64
+	max     int64
+}
+
+func (h *Histogram) view() histView {
+	var v histView
+	for i := range h.buckets {
+		v.buckets[i] = h.buckets[i].Load()
+		v.count += v.buckets[i]
 	}
-	if q > 1 {
-		q = 1
+	// Observe raises max before it counts the bucket, so this max bounds
+	// every value counted above.
+	v.max = h.max.Load()
+	return v
+}
+
+func (v *histView) quantile(q float64) int64 {
+	if v.count == 0 {
+		return 0
 	}
-	rank := int64(math.Ceil(q * float64(total)))
+	q = math.Min(math.Max(q, 0), 1)
+	rank := int64(math.Ceil(q * float64(v.count)))
 	if rank < 1 {
 		rank = 1
 	}
 	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
+	for i, n := range v.buckets {
+		cum += n
 		if cum >= rank {
-			u := bucketUpper(i)
-			if mx := h.Max(); u > mx {
-				return mx
-			}
-			return u
+			return min(bucketUpper(i), v.max)
 		}
 	}
-	return h.Max()
+	return v.max
 }
 
-// Snapshot summarizes the histogram.
+// Snapshot summarizes the histogram. Count, Max and the quantiles come
+// from one read of the buckets, so P50 <= P95 <= P99 <= P999 <= Max even
+// under concurrent Observe calls.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	v := h.view()
+	if v.count == 0 {
+		return HistogramSnapshot{}
+	}
+	sum := h.sum.Load()
 	return HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
+		Count: v.count,
+		Sum:   sum,
+		Mean:  float64(sum) / float64(v.count),
+		Min:   h.min.Load(),
+		Max:   v.max,
+		P50:   v.quantile(0.50),
+		P95:   v.quantile(0.95),
+		P99:   v.quantile(0.99),
+		P999:  v.quantile(0.999),
 	}
 }
 

@@ -141,6 +141,45 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotOrderedUnderObserve takes snapshots while writers
+// observe ever larger values: every snapshot must be internally ordered.
+func TestHistogramSnapshotOrderedUnderObserve(t *testing.T) {
+	h := NewHistogram()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int64) {
+			defer wg.Done()
+			for v := int64(1); ; v = v*3/2 + w + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v > 1<<40 {
+					v = 1
+				}
+				h.Observe(v)
+			}
+		}(int64(w))
+	}
+	for i := 0; i < 20000; i++ {
+		s := h.Snapshot()
+		if s.Count == 0 {
+			continue
+		}
+		if !(1 <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.P999 && s.P999 <= s.Max) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("snapshot %d out of order: count=%d p50=%d p95=%d p99=%d p999=%d max=%d",
+				i, s.Count, s.P50, s.P95, s.P99, s.P999, s.Max)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestObserveDuration(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveDuration(5 * time.Millisecond)

@@ -82,7 +82,10 @@ func TestQuantileMonotonicUnderConcurrentObserve(t *testing.T) {
 				default:
 				}
 				v = (v*6364136223846793005 + 1442695040888963407)
-				h.Observe(v%100_000 + 1)
+				// Unsigned modulo: the LCG wraps negative, and a signed
+				// remainder would pile values at <= 1 and drift the
+				// distribution away from the pre-seed.
+				h.Observe(int64(uint64(v)%100_000) + 1)
 			}
 		}(int64(i + 1))
 	}

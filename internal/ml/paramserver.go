@@ -89,6 +89,9 @@ type server struct {
 	cond   *sync.Cond
 	w      []float64
 	clocks []int
+	// rounds holds a copy of w taken each time the minimum clock (the
+	// global round) advances, for the loss curve.
+	rounds [][]float64
 }
 
 func newServer(dim, workers int) *server {
@@ -126,13 +129,18 @@ func (s *server) pull(dst []float64) {
 	s.mu.Unlock()
 }
 
-// push applies a gradient step and advances the worker's clock.
+// push applies a gradient step and advances the worker's clock, taking a
+// snapshot of the weights if that completes a global round.
 func (s *server) push(me int, grad []float64, lr float64) {
 	s.mu.Lock()
 	for i, g := range grad {
 		s.w[i] -= lr * g
 	}
+	round := s.minClock()
 	s.clocks[me]++
+	if s.minClock() > round {
+		s.rounds = append(s.rounds, append([]float64(nil), s.w...))
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -219,39 +227,6 @@ func Train(data workload.LogisticData, cfg Config) Result {
 		shards[w] = append(shards[w], i)
 	}
 
-	// Loss sampler: watch the global round (min clock) advance.
-	var lossMu sync.Mutex
-	var lossCurve []float64
-	stopSampler := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		lastRound := -1
-		ticker := time.NewTicker(200 * time.Microsecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopSampler:
-				return
-			case <-ticker.C:
-				srv.mu.Lock()
-				round := srv.minClock()
-				var snapshot []float64
-				if round > lastRound {
-					lastRound = round
-					snapshot = append([]float64(nil), srv.w...)
-				}
-				srv.mu.Unlock()
-				if snapshot != nil {
-					l := Loss(data, snapshot)
-					lossMu.Lock()
-					lossCurve = append(lossCurve, l)
-					lossMu.Unlock()
-				}
-			}
-		}
-	}()
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	waits := make([]time.Duration, cfg.Workers)
@@ -294,17 +269,16 @@ func Train(data workload.LogisticData, cfg Config) Result {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	close(stopSampler)
-	<-samplerDone
 
 	final := append([]float64(nil), srv.w...)
 	var totalWait time.Duration
 	for _, w := range waits {
 		totalWait += w
 	}
-	lossMu.Lock()
-	curve := append([]float64(nil), lossCurve...)
-	lossMu.Unlock()
+	curve := make([]float64, len(srv.rounds))
+	for i, w := range srv.rounds {
+		curve[i] = Loss(data, w)
+	}
 	return Result{
 		Weights:   final,
 		FinalLoss: Loss(data, final),

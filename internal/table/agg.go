@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -65,16 +66,18 @@ func (t *Table) GroupBy(keys ...string) *Grouped {
 	return &Grouped{t: t, keys: keys}
 }
 
-// aggState is one group's partial aggregate: one slot per Agg spec.
-type aggState struct {
-	sumI  []int64   // Sum over Int64
-	sumF  []float64 // Sum over Float64, Avg sums
-	count []int64   // Count, Avg counts
-	mmSet []bool    // Min/Max present
-	mmI   []int64
-	mmF   []float64
-	mmS   []string
+// aggSlot is one Agg spec's partial aggregate. Which fields are live
+// depends on the spec's op and column type.
+type aggSlot struct {
+	i   int64   // Sum over Int64; Min/Max over Int64
+	f   float64 // Sum over Float64; Avg sum; Min/Max over Float64
+	n   int64   // Count; Avg count
+	set bool    // Min/Max has seen a value
+	s   string  // Min/Max over String
 }
+
+// aggState is one group's partial aggregate: one slot per Agg spec.
+type aggState []aggSlot
 
 // aggPlan is the resolved execution info per spec.
 type aggPlan struct {
@@ -83,8 +86,9 @@ type aggPlan struct {
 	typ    Type // column type (Int64 for Count)
 }
 
-// Agg executes the grouped aggregation with map-side partial aggregation
-// (the combiner merges encoded states before the shuffle).
+// Agg executes the grouped aggregation with map-side partial aggregation:
+// each map partition folds its rows into typed per-group state and ships
+// one encoded state per group; the reduce side merges those states.
 func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	t := g.t
 	if len(aggs) == 0 {
@@ -130,38 +134,49 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	outSchema := Schema{Cols: outCols}
 	schema := t.schema
 
-	combiner := func(a, b []byte) []byte {
-		sa, err := decodeState(plans, a)
-		if err != nil {
-			panic(fmt.Sprintf("table: agg state decode: %v", err))
+	// Map side: fold the partition's rows in order, then emit one
+	// (key, state) record per group in ascending key order.
+	partial := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		groups := map[string]aggState{}
+		var key []byte
+		for _, r := range rows {
+			row := r.(Row)
+			key = appendCompositeKey(key[:0], schema, keyIdx, row)
+			st, ok := groups[string(key)]
+			if !ok {
+				st = make(aggState, len(plans))
+				groups[string(key)] = st
+			}
+			accumulate(plans, st, row, !ok)
 		}
-		sb, err := decodeState(plans, b)
-		if err != nil {
-			panic(fmt.Sprintf("table: agg state decode: %v", err))
+		keys := make([]string, 0, len(groups))
+		for k := range groups {
+			keys = append(keys, k)
 		}
-		mergeState(plans, sa, sb)
-		return encodeState(plans, sa)
-	}
+		sort.Strings(keys)
+		out := make([]core.Row, len(keys))
+		for i, k := range keys {
+			out[i] = shuffle.Record{Key: []byte(k), Value: encodeState(plans, groups[k])}
+		}
+		return out
+	})
 
-	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
+	plan := t.eng.NewShuffled(partial, core.ShuffleDep{
 		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return compositeKey(schema, keyIdx, r.(Row)) },
-		ValueOf: func(r core.Row) []byte {
-			return encodeState(plans, initState(plans, r.(Row)))
-		},
-		Combiner: combiner,
+		KeyOf:      func(r core.Row) []byte { return r.(shuffle.Record).Key },
+		ValueOf:    func(r core.Row) []byte { return r.(shuffle.Record).Value },
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			merged := map[string]*aggState{}
+			merged := map[string]aggState{}
 			var order []string
 			for _, rec := range recs {
-				k := string(rec.Key)
 				st, err := decodeState(plans, rec.Value)
 				if err != nil {
 					panic(fmt.Sprintf("table: agg state decode: %v", err))
 				}
-				if cur, ok := merged[k]; ok {
+				if cur, ok := merged[string(rec.Key)]; ok {
 					mergeState(plans, cur, st)
 				} else {
+					k := string(rec.Key)
 					merged[k] = st
 					order = append(order, k)
 				}
@@ -183,132 +198,112 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
 }
 
-func newState(n int) *aggState {
-	return &aggState{
-		sumI:  make([]int64, n),
-		sumF:  make([]float64, n),
-		count: make([]int64, n),
-		mmSet: make([]bool, n),
-		mmI:   make([]int64, n),
-		mmF:   make([]float64, n),
-		mmS:   make([]string, n),
+// rowSlot is spec p's slot for the single-row group {r}.
+func rowSlot(p aggPlan, r Row) aggSlot {
+	switch p.spec.Op {
+	case Count:
+		return aggSlot{n: 1}
+	case Sum:
+		if p.typ == Int64 {
+			return aggSlot{i: r[p.colIdx].(int64)}
+		}
+		return aggSlot{f: r[p.colIdx].(float64)}
+	case Avg:
+		if p.typ == Int64 {
+			return aggSlot{f: float64(r[p.colIdx].(int64)), n: 1}
+		}
+		return aggSlot{f: r[p.colIdx].(float64), n: 1}
+	default: // Min, Max
+		switch p.typ {
+		case Int64:
+			return aggSlot{set: true, i: r[p.colIdx].(int64)}
+		case Float64:
+			return aggSlot{set: true, f: r[p.colIdx].(float64)}
+		default:
+			return aggSlot{set: true, s: r[p.colIdx].(string)}
+		}
 	}
 }
 
-// initState builds the state of a single-row group.
-func initState(plans []aggPlan, r Row) *aggState {
-	st := newState(len(plans))
+// accumulate folds row r into st in place; first marks the group's first
+// row, whose slots are taken as they are (so a float sum starts at the
+// first value, not at 0 + value, which would turn -0 into +0).
+func accumulate(plans []aggPlan, st aggState, r Row, first bool) {
 	for i, p := range plans {
-		switch p.spec.Op {
-		case Count:
-			st.count[i] = 1
-		case Sum:
-			if p.typ == Int64 {
-				st.sumI[i] = r[p.colIdx].(int64)
-			} else {
-				st.sumF[i] = r[p.colIdx].(float64)
-			}
-		case Avg:
-			st.count[i] = 1
-			if p.typ == Int64 {
-				st.sumF[i] = float64(r[p.colIdx].(int64))
-			} else {
-				st.sumF[i] = r[p.colIdx].(float64)
-			}
-		case Min, Max:
-			st.mmSet[i] = true
-			switch p.typ {
-			case Int64:
-				st.mmI[i] = r[p.colIdx].(int64)
-			case Float64:
-				st.mmF[i] = r[p.colIdx].(float64)
-			default:
-				st.mmS[i] = r[p.colIdx].(string)
-			}
+		if first {
+			st[i] = rowSlot(p, r)
+		} else {
+			mergeSlot(p, &st[i], rowSlot(p, r))
 		}
 	}
-	return st
 }
 
 // mergeState folds b into a.
-func mergeState(plans []aggPlan, a, b *aggState) {
+func mergeState(plans []aggPlan, a, b aggState) {
 	for i, p := range plans {
-		switch p.spec.Op {
-		case Count:
-			a.count[i] += b.count[i]
-		case Sum:
-			a.sumI[i] += b.sumI[i]
-			a.sumF[i] += b.sumF[i]
-		case Avg:
-			a.count[i] += b.count[i]
-			a.sumF[i] += b.sumF[i]
-		case Min, Max:
-			if !b.mmSet[i] {
-				continue
-			}
-			if !a.mmSet[i] {
-				a.mmSet[i] = true
-				a.mmI[i], a.mmF[i], a.mmS[i] = b.mmI[i], b.mmF[i], b.mmS[i]
-				continue
-			}
-			cmp := 0
-			switch p.typ {
-			case Int64:
-				switch {
-				case b.mmI[i] < a.mmI[i]:
-					cmp = -1
-				case b.mmI[i] > a.mmI[i]:
-					cmp = 1
-				}
-			case Float64:
-				switch {
-				case b.mmF[i] < a.mmF[i]:
-					cmp = -1
-				case b.mmF[i] > a.mmF[i]:
-					cmp = 1
-				}
-			default:
-				switch {
-				case b.mmS[i] < a.mmS[i]:
-					cmp = -1
-				case b.mmS[i] > a.mmS[i]:
-					cmp = 1
-				}
-			}
-			if (p.spec.Op == Min && cmp < 0) || (p.spec.Op == Max && cmp > 0) {
-				a.mmI[i], a.mmF[i], a.mmS[i] = b.mmI[i], b.mmF[i], b.mmS[i]
-			}
+		mergeSlot(p, &a[i], b[i])
+	}
+}
+
+// mergeSlot folds slot b into a for spec p.
+func mergeSlot(p aggPlan, a *aggSlot, b aggSlot) {
+	switch p.spec.Op {
+	case Count, Sum, Avg:
+		// Fields the spec does not use stay zero, so adding all is safe.
+		a.i += b.i
+		a.f += b.f
+		a.n += b.n
+	case Min, Max:
+		if !b.set {
+			return
+		}
+		if !a.set {
+			*a = b
+			return
+		}
+		var less, more bool
+		switch p.typ {
+		case Int64:
+			less, more = b.i < a.i, b.i > a.i
+		case Float64:
+			less, more = b.f < a.f, b.f > a.f
+		default:
+			less, more = b.s < a.s, b.s > a.s
+		}
+		if (p.spec.Op == Min && less) || (p.spec.Op == Max && more) {
+			*a = b
 		}
 	}
 }
 
 // finalize renders output values.
-func finalize(plans []aggPlan, st *aggState) []any {
+func finalize(plans []aggPlan, st aggState) []any {
 	out := make([]any, len(plans))
 	for i, p := range plans {
+		sl := st[i]
 		switch p.spec.Op {
 		case Count:
-			out[i] = st.count[i]
+			out[i] = sl.n
 		case Sum:
 			if p.typ == Int64 {
-				out[i] = st.sumI[i]
+				out[i] = sl.i
 			} else {
-				out[i] = st.sumF[i]
+				out[i] = sl.f
 			}
 		case Avg:
-			if st.count[i] == 0 {
+			if sl.n == 0 {
 				out[i] = math.NaN()
 			} else {
-				out[i] = st.sumF[i] / float64(st.count[i])
+				out[i] = sl.f / float64(sl.n)
 			}
 		case Min, Max:
 			switch p.typ {
 			case Int64:
-				out[i] = st.mmI[i]
+				out[i] = sl.i
 			case Float64:
-				out[i] = st.mmF[i]
+				out[i] = sl.f
 			default:
-				out[i] = st.mmS[i]
+				out[i] = sl.s
 			}
 		}
 	}
@@ -316,35 +311,36 @@ func finalize(plans []aggPlan, st *aggState) []any {
 }
 
 // encodeState serializes per-spec slots.
-func encodeState(plans []aggPlan, st *aggState) []byte {
+func encodeState(plans []aggPlan, st aggState) []byte {
 	var out []byte
 	for i, p := range plans {
+		sl := st[i]
 		switch p.spec.Op {
 		case Count:
-			out = serde.AppendInt64(out, st.count[i])
+			out = serde.AppendInt64(out, sl.n)
 		case Sum:
 			if p.typ == Int64 {
-				out = serde.AppendInt64(out, st.sumI[i])
+				out = serde.AppendInt64(out, sl.i)
 			} else {
-				out = serde.AppendUint64(out, floatBits(st.sumF[i]))
+				out = serde.AppendUint64(out, floatBits(sl.f))
 			}
 		case Avg:
-			out = serde.AppendUint64(out, floatBits(st.sumF[i]))
-			out = serde.AppendInt64(out, st.count[i])
+			out = serde.AppendUint64(out, floatBits(sl.f))
+			out = serde.AppendInt64(out, sl.n)
 		case Min, Max:
-			if !st.mmSet[i] {
+			if !sl.set {
 				out = append(out, 0)
 				continue
 			}
 			out = append(out, 1)
 			switch p.typ {
 			case Int64:
-				out = serde.AppendInt64(out, st.mmI[i])
+				out = serde.AppendInt64(out, sl.i)
 			case Float64:
-				out = serde.AppendUint64(out, floatBits(st.mmF[i]))
+				out = serde.AppendUint64(out, floatBits(sl.f))
 			default:
-				out = serde.AppendInt64(out, int64(len(st.mmS[i])))
-				out = append(out, st.mmS[i]...)
+				out = serde.AppendInt64(out, int64(len(sl.s)))
+				out = append(out, sl.s...)
 			}
 		}
 	}
@@ -352,8 +348,8 @@ func encodeState(plans []aggPlan, st *aggState) []byte {
 }
 
 // decodeState inverts encodeState.
-func decodeState(plans []aggPlan, b []byte) (*aggState, error) {
-	st := newState(len(plans))
+func decodeState(plans []aggPlan, b []byte) (aggState, error) {
+	st := make(aggState, len(plans))
 	readI := func() (int64, error) {
 		v, n, err := serde.Int64(b)
 		if err != nil {
@@ -368,22 +364,23 @@ func decodeState(plans []aggPlan, b []byte) (*aggState, error) {
 			return 0, err
 		}
 		b = b[8:]
-		return serde.DecodeFloat64(serde.AppendUint64(nil, u))
+		return math.Float64frombits(u), nil
 	}
 	for i, p := range plans {
+		sl := &st[i]
 		var err error
 		switch p.spec.Op {
 		case Count:
-			st.count[i], err = readI()
+			sl.n, err = readI()
 		case Sum:
 			if p.typ == Int64 {
-				st.sumI[i], err = readI()
+				sl.i, err = readI()
 			} else {
-				st.sumF[i], err = readF()
+				sl.f, err = readF()
 			}
 		case Avg:
-			if st.sumF[i], err = readF(); err == nil {
-				st.count[i], err = readI()
+			if sl.f, err = readF(); err == nil {
+				sl.n, err = readI()
 			}
 		case Min, Max:
 			if len(b) == 0 {
@@ -394,19 +391,19 @@ func decodeState(plans []aggPlan, b []byte) (*aggState, error) {
 			if present == 0 {
 				continue
 			}
-			st.mmSet[i] = true
+			sl.set = true
 			switch p.typ {
 			case Int64:
-				st.mmI[i], err = readI()
+				sl.i, err = readI()
 			case Float64:
-				st.mmF[i], err = readF()
+				sl.f, err = readF()
 			default:
 				var l int64
 				if l, err = readI(); err == nil {
 					if int64(len(b)) < l {
 						return nil, serde.ErrCorrupt
 					}
-					st.mmS[i] = string(b[:l])
+					sl.s = string(b[:l])
 					b = b[l:]
 				}
 			}

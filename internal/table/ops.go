@@ -53,13 +53,21 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 
 	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
 		m := bcast.Value().(map[string][]Row)
-		var out []core.Row
-		for _, r := range rows {
-			lrow := r.(Row)
-			for _, rrow := range m[string(equalityKey(keyType, lrow[li]))] {
-				joined := make(Row, 0, len(lrow)+len(rrow))
-				joined = append(joined, lrow...)
-				joined = append(joined, rrow...)
+		// Probe first, so every joined row can be cut from one allocation.
+		matches := make([][]Row, len(rows))
+		n := 0
+		for i, r := range rows {
+			matches[i] = m[string(equalityKey(keyType, r.(Row)[li]))]
+			n += len(matches[i])
+		}
+		w := len(outCols)
+		slab := make([]any, n*w)
+		out := make([]core.Row, 0, n)
+		for i, r := range rows {
+			for _, rrow := range matches[i] {
+				joined := Row(slab[:w:w])
+				slab = slab[w:]
+				copy(joined[copy(joined, r.(Row)):], rrow)
 				out = append(out, joined)
 			}
 		}
@@ -99,7 +107,7 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 	keyOf := func(r Row) []byte {
 		var out []byte
 		for k, j := range idx {
-			out = append(out, sortableKey(schema.Cols[j].Type, r[j], desc[k])...)
+			out = appendSortableKey(out, schema.Cols[j].Type, r[j], desc[k])
 		}
 		return out
 	}

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -209,7 +210,7 @@ func (t *Table) Select(names ...string) (*Table, error) {
 // Where keeps rows for which pred returns true.
 func (t *Table) Where(pred func(Row) bool) *Table {
 	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		var out []core.Row
+		out := make([]core.Row, 0, len(rows))
 		for _, r := range rows {
 			if pred(r.(Row)) {
 				out = append(out, r)
@@ -261,11 +262,7 @@ func encodeRow(s Schema, r Row) []byte {
 	return out
 }
 
-func floatBits(f float64) uint64 {
-	b := serde.EncodeFloat64(f)
-	v, _ := serde.Uint64(b)
-	return v
-}
+func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // decodeRow inverts encodeRow.
 func decodeRow(s Schema, b []byte) (Row, error) {
@@ -284,11 +281,7 @@ func decodeRow(s Schema, b []byte) (Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			f, err := serde.DecodeFloat64(serde.AppendUint64(nil, u))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
+			out[i] = math.Float64frombits(u)
 			b = b[8:]
 		case String:
 			l, n, err := serde.Int64(b)
@@ -302,25 +295,24 @@ func decodeRow(s Schema, b []byte) (Row, error) {
 	return out, nil
 }
 
-// sortableKey encodes one column value order-preservingly.
-func sortableKey(typ Type, v any, desc bool) []byte {
-	var key []byte
+// appendSortableKey appends one column value's order-preserving
+// encoding to dst, bit-inverted for descending order.
+func appendSortableKey(dst []byte, typ Type, v any, desc bool) []byte {
+	start := len(dst)
 	switch typ {
 	case Int64:
-		key = serde.SortableInt64Key(v.(int64))
+		dst = append(dst, serde.SortableInt64Key(v.(int64))...)
 	case Float64:
-		key = serde.SortableFloat64Key(v.(float64))
+		dst = append(dst, serde.SortableFloat64Key(v.(float64))...)
 	default:
-		key = serde.SortableStringKey(v.(string))
+		dst = serde.AppendSortableStringKey(dst, v.(string))
 	}
 	if desc {
-		inv := make([]byte, len(key))
-		for i, b := range key {
-			inv[i] = ^b
+		for i := start; i < len(dst); i++ {
+			dst[i] = ^dst[i]
 		}
-		return inv
 	}
-	return key
+	return dst
 }
 
 // equalityKey encodes one column value for equality grouping (compact,
@@ -336,16 +328,15 @@ func equalityKey(typ Type, v any) []byte {
 	}
 }
 
-// compositeKey concatenates self-delimiting sortable keys for the given
-// column indexes.
-func compositeKey(s Schema, idx []int, r Row) []byte {
-	var out []byte
+// appendCompositeKey appends the concatenated self-delimiting sortable
+// keys of the given column indexes to dst.
+func appendCompositeKey(dst []byte, s Schema, idx []int, r Row) []byte {
 	for _, i := range idx {
 		// Sortable encodings are self-delimiting (fixed width or
 		// terminated), so concatenation is unambiguous and ordered.
-		out = append(out, sortableKey(s.Cols[i].Type, r[i], false)...)
+		dst = appendSortableKey(dst, s.Cols[i].Type, r[i], false)
 	}
-	return out
+	return dst
 }
 
 // ---------------------------------------------------------------------------

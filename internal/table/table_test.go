@@ -441,6 +441,7 @@ func BenchmarkGroupByAgg(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := tb.GroupBy("region", "product").Agg(4,
