@@ -2,8 +2,6 @@ package hpbdc
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -21,25 +19,6 @@ import (
 // output for the batch engine and a linearizable history for the KV
 // store — and the deliberate stale-read fault injection must make the
 // checker FAIL, proving the harness has teeth.
-
-// chaosSeeds returns the seeds the checked sweep runs under:
-// CHAOS_SEEDS="1 2 3" overrides the default trio (scripts/chaos.sh uses
-// this to widen the sweep).
-func chaosSeeds(t *testing.T) []uint64 {
-	env := os.Getenv("CHAOS_SEEDS")
-	if env == "" {
-		return []uint64{1, 7, 42}
-	}
-	var seeds []uint64
-	for _, f := range strings.Fields(env) {
-		s, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEEDS: %v", err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
 
 // checkedWordCount runs the canonical shuffled job under a chaos
 // schedule and returns the collected rows plus the dataset handle (for
@@ -90,7 +69,7 @@ func TestChaosCheckedSweep(t *testing.T) {
 	if len(presets) < 5 {
 		t.Fatalf("preset sweep too small: %v", presets)
 	}
-	seeds := chaosSeeds(t)
+	seeds := envSeeds(t, "CHAOS_SEEDS", 1, 7, 42)
 	for _, name := range presets {
 		sched, err := chaos.Preset(name, 8)
 		if err != nil {
@@ -118,7 +97,7 @@ func TestChaosCheckedSweep(t *testing.T) {
 // liveness itself, not fabric reachability — but the sweep still runs
 // every preset so a future KV/network coupling is automatically covered.
 func TestChaosKVLinearizability(t *testing.T) {
-	seeds := chaosSeeds(t)
+	seeds := envSeeds(t, "CHAOS_SEEDS", 1, 7, 42)
 	for _, name := range chaos.PresetNames() {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed-%d", name, seed), func(t *testing.T) {

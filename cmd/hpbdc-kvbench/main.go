@@ -25,6 +25,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/perf"
+	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -188,10 +189,7 @@ func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint6
 		}
 		switch _, err := s.Txn(ctx, tx.Reads, tx.Writes); {
 		case err == nil:
-		case errors.Is(err, kvstore.ErrTxnConflict),
-			errors.Is(err, kvstore.ErrTxnAborted),
-			errors.Is(err, kvstore.ErrKeyLocked),
-			errors.Is(err, kvstore.ErrDeadlineExceeded):
+		case kvstore.NoEffect(err):
 			conflicts++
 		case errors.Is(err, kvstore.ErrTxnOrphaned):
 			orphaned++ // ambiguous: resolved below by recovery, never dangling
@@ -243,12 +241,7 @@ func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint6
 		ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
 			Clients: 4, Waves: 20, Keys: 8, TxnKeys: span,
 			ReadFraction: 0.3, TxnFraction: 0.4, Seed: seed,
-			NoEffect: func(err error) bool {
-				return errors.Is(err, kvstore.ErrTxnConflict) ||
-					errors.Is(err, kvstore.ErrTxnAborted) ||
-					errors.Is(err, kvstore.ErrKeyLocked) ||
-					errors.Is(err, kvstore.ErrDeadlineExceeded)
-			},
+			NoEffect: kvstore.NoEffect,
 		})
 		s.SetDirtyReads(false)
 		verdict := check.CheckTxns(ops)
@@ -417,56 +410,12 @@ func runOverload(store *kvstore.Store, nodes int, mult float64) {
 	if n := get.Count + put.Count; n > 0 {
 		mean = time.Duration((get.Sum + put.Sum) / n)
 	}
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
-	capacity := float64(time.Second) / float64(mean)
-
-	tenants := make([]workload.TenantSpec, 3)
-	ids := make([]string, 3)
-	weights := make([]float64, 3)
-	prios := make([]int, 3)
-	for i, m := range []string{"A", "B", "C"} {
-		rf, _ := workload.YCSBMix(m)
-		tenants[i] = workload.TenantSpec{
-			ID: "ycsb-" + m, RatePerSec: mult * capacity / 3,
-			Weight: 1, Priority: i, ReadFrac: rf, Keys: 512, Skew: 0.99, ValueSize: 128,
-		}
-		ids[i], weights[i], prios[i] = tenants[i].ID, 1, i
-	}
-	quotas := admission.QuotasFor(ids, weights, prios, 0.95*capacity)
-	for i := range quotas {
-		quotas[i].Burst = quotas[i].Rate * 0.02
-	}
-	res := admission.NewSim(admission.SimConfig{
-		Tenants:     tenants,
-		Duration:    time.Second,
-		Seed:        7,
-		Nodes:       nodes,
-		Deadline:    50 * mean,
-		MaxAttempts: 3,
-		Backoff:     5 * mean,
-		RetryRatio:  0.1,
-		Admission: &admission.Config{
-			Tenants:  quotas,
-			Target:   4 * mean,
-			Interval: 40 * mean,
-			MaxQueue: 256,
-		},
-		Serve: func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-			if op.Kind == workload.OpPut {
-				return store.PutCtx(ctx, coord, op.Key, op.Value)
-			}
-			_, lat, err := store.GetCtx(ctx, coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-			return lat, err
-		},
-	}).Run()
+	mean, capacity := scenario.Capacity(mean)
+	cfg := scenario.OverloadConfig(store, nodes, mult, capacity, mean, time.Second, 7, true)
+	res := admission.NewSim(cfg).Run()
 
 	fmt.Printf("overload %.1fx capacity (%.0f ops/s, mean %v, deadline %v):\n",
-		mult, capacity, mean, 50*mean)
+		mult, capacity, mean, cfg.Deadline)
 	fmt.Printf("  offered %d, goodput %d (%.0f/s), shed %d (quota %d, queue %d, sojourn %d)\n",
 		res.Offered, res.Goodput, res.GoodputPerSec,
 		res.ShedQuota+res.ShedQueue+res.ShedSojourn,

@@ -6,94 +6,42 @@ package hpbdc
 // visibly livelock or wedge (runaway terms, or unavailability while a
 // connected majority exists), while the hardened cluster (PreVote +
 // CheckQuorum + randomized election backoff) bounds both on the same
-// (schedule, seed). The run must be deterministic. The E-GRAY oracle
+// (schedule, seed). The run must be deterministic. Schedules, bounds and
+// the probe loop come from internal/scenario. The E-GRAY oracle
 // verdicts (defended bounds, control teeth, and the linearizable
 // ha-register capture) are gated by TestEGRAYShapes in
 // internal/experiments, which the gray CI job also runs under -race.
-// Runs under -race in CI (scripts/verify.sh). Extra seeds:
-// GRAY_SEEDS="7,42".
+// Runs under -race in CI (scripts/verify.sh). Seeds default to 7 and
+// 42; widen with GRAY_SEEDS="7,11,42".
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
-	"repro/internal/chaos"
-	"repro/internal/check"
-	"repro/internal/consensus"
-	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
-// Defended bounds and control-teeth thresholds, matching the E-GRAY
-// experiment's gates (internal/experiments/exp_gray.go).
-const (
-	grayNodes        = 5
-	grayHorizon      = 300
-	grayMaxLongest   = 80
-	grayMaxTotal     = 120
-	grayMaxTermDelta = 8
-	grayCtlTermDelta = 4
-	grayCtlUnavail   = 10
-)
-
-// grayGateSchedules are the gated asymmetric shapes (flap is
-// informational in E-GRAY — vanilla Raft may ride out a given coin — so
-// it is not part of the acceptance gate).
-var grayGateSchedules = []struct{ name, text string }{
-	{"one-way", "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"},
-	{"partial", "4 partial-partition 0|2-4\n154 heal\n"},
-}
-
-func graySeeds(t *testing.T) []uint64 {
-	t.Helper()
-	env := os.Getenv("GRAY_SEEDS")
-	if env == "" {
-		return []uint64{7, 42}
-	}
-	var seeds []uint64
-	for _, f := range strings.Split(env, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("GRAY_SEEDS: %v", err)
+// grayGateSchedules are the gated asymmetric shapes: every schedule but
+// flap, which is informational in E-GRAY — vanilla Raft may ride out a
+// given coin — so it is not part of the acceptance gate.
+func grayGateSchedules() []scenario.GraySchedule {
+	var out []scenario.GraySchedule
+	for _, gs := range scenario.GraySchedules() {
+		if gs.Name != "flap" {
+			out = append(out, gs)
 		}
-		seeds = append(seeds, v)
 	}
-	return seeds
+	return out
 }
 
-// grayEpisode boots a cluster with the leader rigged to node 0, replays
-// one gray schedule while probing with a commit-confirmed proposal per
-// tick, and reports availability, term growth and CheckQuorum step-downs.
-func grayEpisode(t *testing.T, hardened bool, text string, seed uint64) (check.AvailReport, uint64, uint64) {
+// mustEpisode runs one scenario.GrayEpisode, failing the test on error.
+func mustEpisode(t *testing.T, hardened bool, gs scenario.GraySchedule, seed uint64) scenario.GrayResult {
 	t.Helper()
-	sched, err := chaos.Parse(text)
+	res, err := scenario.GrayEpisode(hardened, gs.Sched, seed)
 	if err != nil {
-		t.Fatalf("schedule: %v", err)
+		t.Fatalf("%s hardened=%v seed %d: %v", gs.Name, hardened, seed, err)
 	}
-	var c *consensus.Cluster
-	if hardened {
-		c = consensus.NewHardenedCluster(grayNodes, seed)
-	} else {
-		c = consensus.NewCluster(grayNodes, seed)
-	}
-	if l := c.RunUntilLeader(400); l < 0 {
-		t.Fatal("no boot leader")
-	}
-	if !c.TransferLeadership(0, 80) {
-		t.Fatal("could not rig leader to node 0")
-	}
-	ctl := chaos.New(sched, seed, chaos.Targets{Nodes: grayNodes, Consensus: c}, metrics.NewRegistry())
-	boot := c.MaxTerm()
-	pts := make([]check.AvailPoint, 0, grayHorizon)
-	for tick := int64(1); tick <= grayHorizon; tick++ {
-		ctl.AdvanceTo(tick)
-		c.Tick()
-		_, ok := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
-		pts = append(pts, check.AvailPoint{T: tick, OK: ok, MajorityConnected: c.HasConnectedMajority()})
-	}
-	return check.Availability(pts), c.MaxTerm() - boot, c.StepDowns()
+	return res
 }
 
 // TestGrayAcceptance is the headline gate: for every (schedule, seed)
@@ -101,24 +49,21 @@ func grayEpisode(t *testing.T, hardened bool, text string, seed uint64) (check.A
 // run must bound unavailability and term growth — and be no less
 // available than the control it defends against.
 func TestGrayAcceptance(t *testing.T) {
-	for _, gs := range grayGateSchedules {
-		for _, seed := range graySeeds(t) {
-			t.Run(fmt.Sprintf("%s/seed-%d", gs.name, seed), func(t *testing.T) {
-				ctl, ctlTerm, _ := grayEpisode(t, false, gs.text, seed)
-				def, defTerm, _ := grayEpisode(t, true, gs.text, seed)
+	for _, gs := range grayGateSchedules() {
+		for _, seed := range envSeeds(t, "GRAY_SEEDS", 7, 42) {
+			t.Run(fmt.Sprintf("%s/seed-%d", gs.Name, seed), func(t *testing.T) {
+				ctl := mustEpisode(t, false, gs, seed)
+				def := mustEpisode(t, true, gs, seed)
 
-				if ctlTerm < grayCtlTermDelta && ctl.Total < grayCtlUnavail {
+				if !ctl.ControlLivelocked() {
 					t.Errorf("control shows no livelock: term growth %d, unavailable %d (defense would gate a strawman)",
-						ctlTerm, ctl.Total)
+						ctl.TermDelta, ctl.Avail.Total)
 				}
-				if d := check.DiffAvailability("defended", def, grayMaxLongest, grayMaxTotal); !d.OK {
-					t.Errorf("defended availability out of bounds: %s", d)
+				if d := def.DefendedDiff("defended"); !d.OK {
+					t.Errorf("defended run out of bounds: %s", d)
 				}
-				if defTerm > grayMaxTermDelta {
-					t.Errorf("defended term growth %d > bound %d", defTerm, grayMaxTermDelta)
-				}
-				if def.Total > ctl.Total {
-					t.Errorf("defended unavailability %d exceeds control %d", def.Total, ctl.Total)
+				if def.Avail.Total > ctl.Avail.Total {
+					t.Errorf("defended unavailability %d exceeds control %d", def.Avail.Total, ctl.Avail.Total)
 				}
 			})
 		}
@@ -127,15 +72,14 @@ func TestGrayAcceptance(t *testing.T) {
 
 // TestGrayAcceptanceDeterministicReplay pins reproducibility: the same
 // (schedule, seed, mode) run twice must produce identical availability
-// reports, term growth and step-down counts.
+// reports, term growth, step-down counts and probe commit rounds.
 func TestGrayAcceptanceDeterministicReplay(t *testing.T) {
-	for _, gs := range grayGateSchedules {
+	for _, gs := range grayGateSchedules() {
 		for _, hardened := range []bool{false, true} {
-			rep1, term1, sd1 := grayEpisode(t, hardened, gs.text, 42)
-			rep2, term2, sd2 := grayEpisode(t, hardened, gs.text, 42)
-			if rep1 != rep2 || term1 != term2 || sd1 != sd2 {
-				t.Errorf("%s hardened=%v diverged: (%v, %d, %d) vs (%v, %d, %d)",
-					gs.name, hardened, rep1, term1, sd1, rep2, term2, sd2)
+			first := mustEpisode(t, hardened, gs, 42)
+			again := mustEpisode(t, hardened, gs, 42)
+			if first != again {
+				t.Errorf("%s hardened=%v diverged: %+v vs %+v", gs.Name, hardened, first, again)
 			}
 		}
 	}

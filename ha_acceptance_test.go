@@ -2,9 +2,7 @@ package hpbdc
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -12,24 +10,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/workload"
 )
-
-// haSeeds returns the seed sweep for the HA acceptance gauntlet,
-// overridable via HA_SEEDS (space-separated integers).
-func haSeeds(t *testing.T) []uint64 {
-	env := os.Getenv("HA_SEEDS")
-	if env == "" {
-		return []uint64{1, 7, 42}
-	}
-	var seeds []uint64
-	for _, f := range strings.Fields(env) {
-		s, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			t.Fatalf("HA_SEEDS: bad seed %q: %v", f, err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
 
 // haTwoStageJob runs the E-HA job shape — wordcount, then regroup by
 // count — so the coordinator journals two shuffle stages before the
@@ -74,7 +54,7 @@ func TestHAAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range haSeeds(t) {
+	for _, seed := range envSeeds(t, "HA_SEEDS", 1, 7, 42) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			ctx := New(Config{
 				Racks:        2,

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -82,19 +81,11 @@ func TestCheckTxnsPendingMayCommitOrAbort(t *testing.T) {
 	}
 }
 
-// shardedNoEffect classifies the sharded plane's clean-abort errors.
-func shardedNoEffect(err error) bool {
-	return errors.Is(err, kvstore.ErrTxnConflict) ||
-		errors.Is(err, kvstore.ErrTxnAborted) ||
-		errors.Is(err, kvstore.ErrKeyLocked) ||
-		errors.Is(err, kvstore.ErrDeadlineExceeded)
-}
-
 func TestCaptureTxnHistoryCleanRunIsStrictlySerializable(t *testing.T) {
 	s := kvstore.NewSharded(kvstore.ShardedConfig{Seed: 21, Groups: 2, InitialSplits: []string{"k04"}})
 	ops := CaptureTxnHistory(s, TxnCaptureConfig{
 		Clients: 4, Waves: 12, Keys: 8, TxnKeys: 2, Seed: 21,
-		NoEffect: shardedNoEffect,
+		NoEffect: kvstore.NoEffect,
 	})
 	if len(ops) == 0 {
 		t.Fatal("empty history")
@@ -118,7 +109,7 @@ func TestCaptureTxnHistoryDirtyReadsCaught(t *testing.T) {
 		ops := CaptureTxnHistory(s, TxnCaptureConfig{
 			Clients: 4, Waves: 10, Keys: 4, TxnKeys: 2, Seed: seed,
 			ReadFraction: 0.5, TxnFraction: 0.3,
-			NoEffect:     shardedNoEffect,
+			NoEffect:     kvstore.NoEffect,
 			BetweenWaves: func(wave int) { s.SetDirtyReads(wave >= 2) },
 		})
 		caught = !CheckTxns(ops).OK

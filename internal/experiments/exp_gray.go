@@ -10,9 +10,8 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/check"
-	"repro/internal/consensus"
 	"repro/internal/ha"
-	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/topology"
 )
 
@@ -33,73 +32,6 @@ func SetGrayConfig(seed uint64, spec string) {
 	defer grayCfg.mu.Unlock()
 	grayCfg.seed = seed
 	grayCfg.spec = spec
-}
-
-const (
-	grayNodes   = 5
-	grayHorizon = 300
-
-	// Defended bounds: the hardened cluster may lose at most this much
-	// availability while a connected majority exists (one step-down plus
-	// one election, with margin), and terms may grow by at most a handful
-	// of real elections — never the per-tick inflation of the control.
-	grayMaxLongest   = 80
-	grayMaxTotal     = 120
-	grayMaxTermDelta = 8
-
-	// Control teeth: the undefended run must visibly livelock or wedge —
-	// either runaway terms or a substantial unavailability total.
-	grayCtlTermDelta = 4
-	grayCtlUnavail   = 10
-)
-
-// graySchedules are the asymmetric fault shapes the sweep covers, sized
-// for a 5-node cluster with the leader rigged to node 0.
-//
-//   - one-way: nodes 0-3 stop reaching node 4 (it still sends) — the
-//     inbound-isolated node whose escaping campaigns livelock vanilla Raft.
-//   - partial: node 0 is pairwise cut from {2,3,4} both ways while node 1
-//     bridges — a non-transitive partition that wedges or deposes an
-//     undefended leader and exercises CheckQuorum on a defended one.
-//   - flap: every directed link flips with p=0.25 per tick for 100 ticks —
-//     the flapping-NIC shape; randomized election backoff keeps the
-//     defended cluster from synchronized re-election storms.
-func graySchedules() []struct{ name, text string } {
-	return []struct{ name, text string }{
-		{"one-way", "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"},
-		{"partial", "4 partial-partition 0|2-4\n154 heal\n"},
-		{"flap", "4 flap 0-4 0-4 0.25\n104 unflap 0-4 0-4\n105 heal\n"},
-	}
-}
-
-// grayRun drives one cluster through a gray schedule, probing with one
-// commit-confirmed proposal per tick, and returns the availability report
-// plus the term growth and step-down counts.
-func grayRun(hardened bool, sched chaos.Schedule, seed uint64) (check.AvailReport, uint64, uint64) {
-	var c *consensus.Cluster
-	if hardened {
-		c = consensus.NewHardenedCluster(grayNodes, seed)
-	} else {
-		c = consensus.NewCluster(grayNodes, seed)
-	}
-	if l := c.RunUntilLeader(400); l < 0 {
-		panic("E-GRAY: no boot leader")
-	}
-	if !c.TransferLeadership(0, 80) {
-		panic("E-GRAY: could not rig leader to node 0")
-	}
-	reg := metrics.NewRegistry()
-	ctl := chaos.New(sched, seed, chaos.Targets{Nodes: grayNodes, Consensus: c}, reg)
-	boot := c.MaxTerm()
-
-	pts := make([]check.AvailPoint, 0, grayHorizon)
-	for tick := int64(1); tick <= grayHorizon; tick++ {
-		ctl.AdvanceTo(tick)
-		c.Tick()
-		_, ok := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
-		pts = append(pts, check.AvailPoint{T: tick, OK: ok, MajorityConnected: c.HasConnectedMajority()})
-	}
-	return check.Availability(pts), c.MaxTerm() - boot, c.StepDowns()
 }
 
 // EGRAYGrayFailures measures gray-failure tolerance: asymmetric faults
@@ -125,25 +57,15 @@ func EGRAYGrayFailures(s Scale) *Table {
 			"longest", "unavail", "term-delta", "stepdowns", "verdict"},
 	}
 
-	type entry struct {
-		name  string
-		sched chaos.Schedule
-	}
-	var entries []entry
+	var entries []scenario.GraySchedule
 	if spec != "" {
-		sched, err := chaos.Load(spec, grayNodes)
+		sched, err := chaos.Load(spec, scenario.GrayNodes)
 		if err != nil {
 			panic(fmt.Sprintf("E-GRAY: -chaos: %v", err))
 		}
-		entries = []entry{{"custom", sched}}
+		entries = []scenario.GraySchedule{{Name: "custom", Sched: sched}}
 	} else {
-		for _, gs := range graySchedules() {
-			sched, err := chaos.Parse(gs.text)
-			if err != nil {
-				panic(fmt.Sprintf("E-GRAY: %s: %v", gs.name, err))
-			}
-			entries = append(entries, entry{gs.name, sched})
-		}
+		entries = scenario.GraySchedules()
 	}
 	seeds := pick(s, []uint64{7}, []uint64{1, 7, 42})
 	if seedOverride != 0 {
@@ -154,20 +76,18 @@ func EGRAYGrayFailures(s Scale) *Table {
 		for _, seed := range seeds {
 			for _, mode := range []string{"control", "defended"} {
 				hardened := mode == "defended"
-				rep, termDelta, stepdowns := grayRun(hardened, e.sched, seed)
-				job := fmt.Sprintf("E-GRAY/%s/seed-%d/%s", e.name, seed, mode)
+				res, err := scenario.GrayEpisode(hardened, e.Sched, seed)
+				if err != nil {
+					panic(fmt.Sprintf("E-GRAY: %s/%s: %v", e.Name, mode, err))
+				}
+				rep := res.Avail
+				job := fmt.Sprintf("E-GRAY/%s/seed-%d/%s", e.Name, seed, mode)
 
 				var diff check.Diff
 				switch {
 				case hardened:
-					diff = check.DiffAvailability(job, rep, grayMaxLongest, grayMaxTotal)
-					if termDelta > grayMaxTermDelta {
-						diff.OK = false
-						diff.Details = append(diff.Details,
-							fmt.Sprintf("term growth %d > bound %d", termDelta, grayMaxTermDelta))
-					}
-					diff = recordCheck(diff)
-				case e.name == "flap":
+					diff = recordCheck(res.DefendedDiff(job))
+				case e.Name == "flap":
 					// Flap control runs are informational: vanilla Raft may or
 					// may not livelock under a given coin, so nothing is gated.
 					diff = check.Diff{Name: job, OK: true, Compared: rep.Probes}
@@ -175,21 +95,21 @@ func EGRAYGrayFailures(s Scale) *Table {
 					// Control teeth: the failure must actually appear, or the
 					// defended rows are measuring against a strawman.
 					diff = check.Diff{Name: job + "/teeth", OK: true, Compared: rep.Probes}
-					if termDelta < grayCtlTermDelta && rep.Total < grayCtlUnavail {
+					if !res.ControlLivelocked() {
 						diff.OK = false
 						diff.Details = []string{fmt.Sprintf(
-							"control shows no livelock: term growth %d, unavailable %d", termDelta, rep.Total)}
+							"control shows no livelock: term growth %d, unavailable %d", res.TermDelta, rep.Total)}
 					}
 					diff = recordCheck(diff)
 				}
-				t.AddRow(e.name, mode, fmt.Sprintf("%d", seed),
+				t.AddRow(e.Name, mode, fmt.Sprintf("%d", seed),
 					fmt.Sprintf("%d", rep.Probes),
 					fmt.Sprintf("%d", rep.Failed),
 					fmt.Sprintf("%d", rep.Windows),
 					fmt.Sprintf("%d", rep.Longest),
 					fmt.Sprintf("%d", rep.Total),
-					fmt.Sprintf("%d", termDelta),
-					fmt.Sprintf("%d", stepdowns),
+					fmt.Sprintf("%d", res.TermDelta),
+					fmt.Sprintf("%d", res.StepDowns),
 					verdictCell(diff))
 			}
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,151 +8,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/kvstore"
-	"repro/internal/netsim"
-	"repro/internal/topology"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
-
-// ovlCluster is one serving stack for an overload run: a quorum KV store
-// on a TCP fabric, plus the ServeFunc adapters the admission simulator
-// drives against it.
-type ovlCluster struct {
-	fab   *netsim.Fabric
-	store *kvstore.Store
-	nodes int
-}
-
-func newOvlCluster() *ovlCluster {
-	fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.TCP40G)
-	store, err := kvstore.New(kvstore.Config{Fabric: fab, N: 3, R: 2, W: 2})
-	if err != nil {
-		panic(err)
-	}
-	return &ovlCluster{fab: fab, store: store, nodes: 8}
-}
-
-// serveCtx is the deadline-aware serving path: GetCtx/PutCtx fail fast
-// when the remaining virtual budget cannot cover the quorum op, so a
-// doomed request burns (at most) its budget instead of full service time.
-func (c *ovlCluster) serveCtx(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-	if op.Kind == workload.OpPut {
-		return c.store.PutCtx(ctx, coord, op.Key, op.Value)
-	}
-	_, lat, err := c.store.GetCtx(ctx, coord, op.Key)
-	if err == kvstore.ErrNotFound {
-		err = nil // a read miss is a fast, legitimate answer
-	}
-	return lat, err
-}
-
-// serveLegacy is the pre-admission serving path: the blocking Get/Put
-// API that charges full service latency no matter how stale the request.
-func (c *ovlCluster) serveLegacy(_ context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-	if op.Kind == workload.OpPut {
-		return c.store.Put(coord, op.Key, op.Value)
-	}
-	_, lat, err := c.store.Get(coord, op.Key)
-	if err == kvstore.ErrNotFound {
-		err = nil
-	}
-	return lat, err
-}
-
-// ovlCalibrate measures the store's closed-loop mean service latency and
-// returns it with the implied capacity (ops/sec) — the saturation point
-// the sweep's offered-load multiples are expressed against.
-func ovlCalibrate() (time.Duration, float64) {
-	c := newOvlCluster()
-	trace := workload.KVOps(2_000, 4_096, 0, 0.9, 128, 77)
-	var total time.Duration
-	for i, op := range trace {
-		coord := topology.NodeID(i % c.nodes)
-		var lat time.Duration
-		var err error
-		if op.Kind == workload.OpPut {
-			lat, err = c.store.Put(coord, op.Key, op.Value)
-		} else {
-			_, lat, err = c.store.Get(coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-		}
-		if err != nil {
-			panic(err)
-		}
-		total += lat
-	}
-	mean := total / time.Duration(len(trace))
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
-	return mean, float64(time.Second) / float64(mean)
-}
-
-// ovlTenants is the three-tier YCSB mix (A = batch, B = standard, C =
-// interactive) splitting the offered rate evenly.
-func ovlTenants(totalRate float64) []workload.TenantSpec {
-	out := make([]workload.TenantSpec, 3)
-	for i, m := range []string{"A", "B", "C"} {
-		rf, _ := workload.YCSBMix(m)
-		out[i] = workload.TenantSpec{
-			ID:         "ycsb-" + m,
-			RatePerSec: totalRate / 3,
-			Weight:     1,
-			Priority:   i,
-			ReadFrac:   rf,
-			Keys:       512,
-			Skew:       0.99,
-			ValueSize:  128,
-		}
-	}
-	return out
-}
-
-// ovlQuotas sizes per-tenant admission quotas at 95% of measured
-// capacity with ~20ms of bucket depth.
-func ovlQuotas(tenants []workload.TenantSpec, capacity float64) []admission.TenantQuota {
-	ids := make([]string, len(tenants))
-	weights := make([]float64, len(tenants))
-	prios := make([]int, len(tenants))
-	for i, t := range tenants {
-		ids[i], weights[i], prios[i] = t.ID, t.Weight, t.Priority
-	}
-	qs := admission.QuotasFor(ids, weights, prios, 0.95*capacity)
-	for i := range qs {
-		qs[i].Burst = qs[i].Rate * 0.02
-	}
-	return qs
-}
-
-// ovlConfig assembles a SimConfig for one sweep point. Every control
-// knob derives from the measured mean service latency, so the experiment
-// self-scales to whatever the fabric actually costs.
-func ovlConfig(c *ovlCluster, mult float64, capacity float64, mean, dur time.Duration, admissionOn bool, seed uint64) admission.SimConfig {
-	cfg := admission.SimConfig{
-		Tenants:     ovlTenants(mult * capacity),
-		Duration:    dur,
-		Seed:        seed,
-		Nodes:       c.nodes,
-		Deadline:    50 * mean,
-		MaxAttempts: 3,
-		Backoff:     5 * mean,
-		WindowWidth: dur / 8,
-	}
-	if admissionOn {
-		cfg.Serve = c.serveCtx
-		cfg.Admission = &admission.Config{
-			Tenants:  ovlQuotas(cfg.Tenants, capacity),
-			Target:   4 * mean,
-			Interval: 40 * mean,
-			MaxQueue: 256,
-		}
-		cfg.RetryRatio = 0.1
-	} else {
-		cfg.Serve = c.serveLegacy
-	}
-	return cfg
-}
 
 // EOVLOverload sweeps offered load from half to twice the measured
 // saturation point through the admission stack (per-tenant WFQ quotas,
@@ -166,7 +22,7 @@ func ovlConfig(c *ovlCluster, mult float64, capacity float64, mean, dur time.Dur
 // preset (burst + tenant flood + degraded node) against the defended
 // stack, and the store's linearizability is checked after shedding.
 func EOVLOverload(s Scale) *Table {
-	mean, capacity := ovlCalibrate()
+	mean, capacity := scenario.OverloadCalibrate()
 	dur := pick(s, 300*time.Millisecond, time.Second)
 	t := &Table{
 		ID:    "E-OVL",
@@ -198,10 +54,10 @@ func EOVLOverload(s Scale) *Table {
 
 		// Defended run, with a post-run linearizability capture against
 		// the same (shed-scarred) store.
-		c := newOvlCluster()
-		res := admission.NewSim(ovlConfig(c, mult, capacity, mean, dur, true, 7)).Run()
-		h := check.CaptureHistory(c.store, check.CaptureConfig{
-			Clients: 4, Waves: 10, Keys: 6, Nodes: c.nodes,
+		store := scenario.OverloadStore()
+		res := admission.NewSim(scenario.OverloadConfig(store, scenario.OverloadNodes, mult, capacity, mean, dur, 7, true)).Run()
+		h := check.CaptureHistory(store, check.CaptureConfig{
+			Clients: 4, Waves: 10, Keys: 6, Nodes: scenario.OverloadNodes,
 			ReadFraction: 0.4, DeleteFraction: 0.1,
 			Seed:       uint64(100 + 10*mult),
 			IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
@@ -215,27 +71,28 @@ func EOVLOverload(s Scale) *Table {
 		addRow(label, "admission", res, verdictCell(diff))
 
 		// Control run: same arrivals, no defense stack.
-		addRow(label, "control", admission.NewSim(ovlConfig(newOvlCluster(), mult, capacity, mean, dur, false, 7)).Run(), "-")
+		ctrl := scenario.OverloadConfig(scenario.OverloadStore(), scenario.OverloadNodes, mult, capacity, mean, dur, 7, false)
+		addRow(label, "control", admission.NewSim(ctrl).Run(), "-")
 	}
 
 	// Chaos row: the "overload" preset (3x burst, 5x tenant-0 flood, one
 	// degraded node) against the defended stack at 1x offered load. The
 	// preset's virtual ticks are paced so every event lands inside the
 	// arrival window.
-	c := newOvlCluster()
-	cfg := ovlConfig(c, 1, capacity, mean, dur, true, 7)
+	store := scenario.OverloadStore()
+	cfg := scenario.OverloadConfig(store, scenario.OverloadNodes, 1, capacity, mean, dur, 7, true)
 	cfg.TickEvery = dur / 12
 	var ctl *chaos.Controller
 	cfg.Tick = func(step int64) { ctl.AdvanceTo(step) }
 	sim := admission.NewSim(cfg)
-	sched, err := chaos.Preset("overload", c.nodes)
+	sched, err := chaos.Preset("overload", scenario.OverloadNodes)
 	if err != nil {
 		panic(err)
 	}
-	ctl = chaos.New(sched, 7, chaos.Targets{Nodes: c.nodes, Overload: sim, Network: c.fab}, c.store.Reg)
+	ctl = chaos.New(sched, 7, chaos.Targets{Nodes: scenario.OverloadNodes, Overload: sim, Network: store.Config().Fabric}, store.Reg)
 	res := sim.Run()
-	h := check.CaptureHistory(c.store, check.CaptureConfig{
-		Clients: 4, Waves: 10, Keys: 6, Nodes: c.nodes,
+	h := check.CaptureHistory(store, check.CaptureConfig{
+		Clients: 4, Waves: 10, Keys: 6, Nodes: scenario.OverloadNodes,
 		ReadFraction: 0.4, DeleteFraction: 0.1,
 		Seed:       777,
 		IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },

@@ -1,23 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/kvstore"
 )
-
-// txnNoEffect classifies the sharded plane's clean-abort errors: the
-// operation is guaranteed to have left no trace, so the capture harness
-// omits it from the history instead of recording a pending transaction.
-func txnNoEffect(err error) bool {
-	return errors.Is(err, kvstore.ErrTxnConflict) ||
-		errors.Is(err, kvstore.ErrTxnAborted) ||
-		errors.Is(err, kvstore.ErrKeyLocked) ||
-		errors.Is(err, kvstore.ErrDeadlineExceeded)
-}
 
 // txnScenario is one E-TXN row: a chaos hook driven between capture
 // waves against a fresh sharded plane.
@@ -114,7 +103,7 @@ func ETXNTransactions(s Scale) *Table {
 			Clients: clients, Waves: waves, Keys: 8, TxnKeys: 2,
 			ReadFraction: 0.3, TxnFraction: 0.4,
 			Seed:     uint64(1000 + len(sc.name)),
-			NoEffect: txnNoEffect,
+			NoEffect: kvstore.NoEffect,
 			BetweenWaves: func(wave int) {
 				if hook != nil {
 					hook(sh, wave)
@@ -168,7 +157,7 @@ func ETXNTransactions(s Scale) *Table {
 		Clients: clients, Waves: waves, Keys: 8, TxnKeys: 2,
 		ReadFraction: 0.3, TxnFraction: 0.4,
 		Seed:         2000,
-		NoEffect:     txnNoEffect,
+		NoEffect:     kvstore.NoEffect,
 		BetweenWaves: func(wave int) { ctl.Tick() },
 	})
 	if err := sh.Recover(); err != nil {

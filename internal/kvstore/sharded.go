@@ -49,6 +49,17 @@ var (
 	ErrRangeBusy = errors.New("kvstore: range busy, split/merge deferred")
 )
 
+// NoEffect reports whether err is a clean abort of the sharded plane: a
+// conflict, a recovery abort, a lock-starved single-key op or a deadline
+// overrun. The operation is guaranteed to have left no trace, so history
+// capture omits it instead of recording it as pending.
+func NoEffect(err error) bool {
+	return errors.Is(err, ErrTxnConflict) ||
+		errors.Is(err, ErrTxnAborted) ||
+		errors.Is(err, ErrKeyLocked) ||
+		errors.Is(err, ErrDeadlineExceeded)
+}
+
 // ShardedConfig parameterizes the sharded store.
 type ShardedConfig struct {
 	// Groups is the number of Raft groups the range machines are spread

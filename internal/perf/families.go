@@ -38,15 +38,14 @@ import (
 
 	hpbdc "repro"
 	"repro/internal/admission"
-	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/query"
+	"repro/internal/scenario"
 	"repro/internal/stream"
 	qtable "repro/internal/table"
 	"repro/internal/topology"
@@ -342,11 +341,7 @@ func runKV(o Options) (*Result, error) {
 	// whole segment is virtual time, so goodput-at-saturation and the
 	// admitted tail are seed-deterministic; its windows are appended
 	// after the mix's, offset by the mix's virtual elapsed time.
-	mean := virtual / time.Duration(o.Ops)
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
-	capacity := float64(time.Second) / float64(mean)
+	mean, capacity := scenario.Capacity(virtual / time.Duration(o.Ops))
 	ovlDur := 500 * time.Millisecond
 	if o.Quick {
 		ovlDur = 200 * time.Millisecond
@@ -355,7 +350,7 @@ func runKV(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ovl := admission.NewSim(overloadSimConfig(ovlStore, nodes, capacity, mean, ovlDur, o.Seed)).Run()
+	ovl := admission.NewSim(scenario.OverloadConfig(ovlStore, nodes, 2, capacity, mean, ovlDur, o.Seed, true)).Run()
 	for _, w := range windowsFromSamples(ovl.Windows) {
 		w.StartNs += int64(virtual)
 		r.Windows = append(r.Windows, w)
@@ -438,64 +433,6 @@ func runKV(o Options) (*Result, error) {
 	r.Metrics["txn_p99_ns"] = float64(txnTotal.P99)
 	r.Metrics["txn_virtual_elapsed_ns"] = float64(sh.VirtualCost())
 	return r, nil
-}
-
-// overloadSimConfig assembles the kv family's fixed overload run: three
-// equal-weight YCSB tenants at twice the measured capacity, quotas at
-// 95% of capacity, CoDel and deadline knobs scaled off the measured
-// mean service latency (the same sizing rule E-OVL uses).
-func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean, dur time.Duration, seed uint64) admission.SimConfig {
-	tenants := make([]workload.TenantSpec, 3)
-	for i, m := range []string{"A", "B", "C"} {
-		rf, _ := workload.YCSBMix(m)
-		tenants[i] = workload.TenantSpec{
-			ID:         "ycsb-" + m,
-			RatePerSec: 2 * capacity / 3,
-			Weight:     1,
-			Priority:   i,
-			ReadFrac:   rf,
-			Keys:       512,
-			Skew:       0.99,
-			ValueSize:  128,
-		}
-	}
-	ids := make([]string, len(tenants))
-	weights := make([]float64, len(tenants))
-	prios := make([]int, len(tenants))
-	for i, t := range tenants {
-		ids[i], weights[i], prios[i] = t.ID, t.Weight, t.Priority
-	}
-	quotas := admission.QuotasFor(ids, weights, prios, 0.95*capacity)
-	for i := range quotas {
-		quotas[i].Burst = quotas[i].Rate * 0.02
-	}
-	return admission.SimConfig{
-		Tenants:     tenants,
-		Duration:    dur,
-		Seed:        seed,
-		Nodes:       nodes,
-		Deadline:    50 * mean,
-		MaxAttempts: 3,
-		Backoff:     5 * mean,
-		RetryRatio:  0.1,
-		WindowWidth: dur / 8,
-		Admission: &admission.Config{
-			Tenants:  quotas,
-			Target:   4 * mean,
-			Interval: 40 * mean,
-			MaxQueue: 256,
-		},
-		Serve: func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-			if op.Kind == workload.OpPut {
-				return store.PutCtx(ctx, coord, op.Key, op.Value)
-			}
-			_, lat, err := store.GetCtx(ctx, coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-			return lat, err
-		},
-	}
 }
 
 func transportModel(name string) (netsim.Model, error) {
@@ -972,79 +909,44 @@ func runQuery(o Options) (*Result, error) {
 // regression (say, a PreVote bug reintroducing term inflation) breaks
 // the baseline the same way a lost record breaks the shuffle checksum.
 func runAvail(o Options) (*Result, error) {
-	const nodes = 5
-	const horizon = 300
 	// One virtual tick is modeled as 1ms for window bookkeeping.
 	const tickNs = int64(time.Millisecond)
 
-	schedules := []struct{ name, text string }{
-		{"one_way", "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"},
-		{"partial", "4 partial-partition 0|2-4\n154 heal\n"},
-		{"flap", "4 flap 0-4 0-4 0.25\n104 unflap 0-4 0-4\n105 heal\n"},
-	}
-
 	r := newResult("avail", o, map[string]string{
-		"nodes":   fmt.Sprint(nodes),
-		"horizon": fmt.Sprint(horizon),
+		"nodes":   fmt.Sprint(scenario.GrayNodes),
+		"horizon": fmt.Sprint(scenario.GrayHorizon),
 	})
 	start := time.Now()
 	var offset, totalProbes, totalFailed int64
-	for _, sc := range schedules {
-		sched, err := chaos.Parse(sc.text)
-		if err != nil {
-			return nil, fmt.Errorf("perf: avail %s: %w", sc.name, err)
-		}
+	for _, sc := range scenario.GraySchedules() {
 		for _, mode := range []string{"control", "defended"} {
-			var c *consensus.Cluster
-			if mode == "defended" {
-				c = consensus.NewHardenedCluster(nodes, o.Seed)
-			} else {
-				c = consensus.NewCluster(nodes, o.Seed)
+			res, err := scenario.GrayEpisode(mode == "defended", sc.Sched, o.Seed)
+			if err != nil {
+				return nil, fmt.Errorf("perf: avail %s/%s: %w", sc.Name, mode, err)
 			}
-			if l := c.RunUntilLeader(400); l < 0 {
-				return nil, fmt.Errorf("perf: avail %s/%s: no boot leader", sc.name, mode)
-			}
-			if !c.TransferLeadership(0, 80) {
-				return nil, fmt.Errorf("perf: avail %s/%s: could not rig leader", sc.name, mode)
-			}
-			ctl := chaos.New(sched, o.Seed, chaos.Targets{Nodes: nodes, Consensus: c}, nil)
-			boot := c.MaxTerm()
-
-			pts := make([]check.AvailPoint, 0, horizon)
-			var ok, commitRounds int64
-			for tick := int64(1); tick <= horizon; tick++ {
-				ctl.AdvanceTo(tick)
-				c.Tick()
-				rounds, committed := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
-				if committed {
-					ok++
-					commitRounds += int64(rounds)
-				}
-				pts = append(pts, check.AvailPoint{T: tick, OK: committed, MajorityConnected: c.HasConnectedMajority()})
-			}
-			rep := check.Availability(pts)
+			rep := res.Avail
 			totalProbes += int64(rep.Probes)
 			totalFailed += int64(rep.Failed)
 
-			key := sc.name + "_" + mode
+			key := strings.ReplaceAll(sc.Name, "-", "_") + "_" + mode
 			r.Shape[key+"_failed"] = int64(rep.Failed)
 			r.Shape[key+"_windows"] = int64(rep.Windows)
 			r.Shape[key+"_longest"] = rep.Longest
 			r.Shape[key+"_unavail"] = rep.Total
-			r.Shape[key+"_term_delta"] = int64(c.MaxTerm() - boot)
-			r.Shape[key+"_stepdowns"] = int64(c.StepDowns())
+			r.Shape[key+"_term_delta"] = int64(res.TermDelta)
+			r.Shape[key+"_stepdowns"] = int64(res.StepDowns)
 
 			meanRounds := int64(0)
-			if ok > 0 {
-				meanRounds = commitRounds / ok
+			if res.Committed > 0 {
+				meanRounds = res.CommitRounds / res.Committed
 			}
 			r.Windows = append(r.Windows, Window{
 				StartNs: offset,
 				Count:   int64(rep.Probes),
-				PerSec:  float64(ok) / (float64(horizon*tickNs) / float64(time.Second)),
+				PerSec:  float64(res.Committed) / (float64(scenario.GrayHorizon*tickNs) / float64(time.Second)),
 				MeanNs:  float64(meanRounds),
 			})
-			offset += horizon * tickNs
+			offset += scenario.GrayHorizon * tickNs
 		}
 	}
 	wall := time.Since(start)

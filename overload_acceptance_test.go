@@ -8,153 +8,32 @@ package hpbdc
 // in CI (scripts/verify.sh). Extra seeds: OVL_SEEDS="7,11,13".
 
 import (
-	"context"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/check"
 	"repro/internal/kvstore"
-	"repro/internal/netsim"
-	"repro/internal/topology"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
-// ovlStore builds the acceptance cluster: an 8-node R2W2 quorum store on
-// the TCP fabric, the same build E-OVL sweeps.
-func ovlStore(t *testing.T) *kvstore.Store {
-	t.Helper()
-	fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.TCP40G)
-	store, err := kvstore.New(kvstore.Config{Fabric: fab, N: 3, R: 2, W: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store
-}
-
-// ovlCalibrate measures mean closed-loop service latency on a throwaway
-// store and returns it with the implied saturation capacity.
-func ovlCalibrate(t *testing.T) (time.Duration, float64) {
-	t.Helper()
-	store := ovlStore(t)
-	ops := workload.KVOps(1_000, 1_024, 0, 0.9, 128, 3)
-	var total time.Duration
-	for i, op := range ops {
-		coord := topology.NodeID(i % 8)
-		var lat time.Duration
-		var err error
-		if op.Kind == workload.OpPut {
-			lat, err = store.Put(coord, op.Key, op.Value)
-		} else {
-			_, lat, err = store.Get(coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += lat
-	}
-	mean := total / time.Duration(len(ops))
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
-	return mean, float64(time.Second) / float64(mean)
-}
-
-// ovlRun executes one overload run at mult x capacity and returns the
-// result plus the store it ran against (for history capture).
-func ovlRun(t *testing.T, seed uint64, mult float64, mean time.Duration, capacity float64, defended bool) (admission.SimResult, *kvstore.Store) {
-	t.Helper()
-	store := ovlStore(t)
-	tenants := make([]workload.TenantSpec, 3)
-	ids := make([]string, 3)
-	weights := make([]float64, 3)
-	prios := make([]int, 3)
-	for i, m := range []string{"A", "B", "C"} {
-		rf, _ := workload.YCSBMix(m)
-		tenants[i] = workload.TenantSpec{
-			ID: "ycsb-" + m, RatePerSec: mult * capacity / 3,
-			Weight: 1, Priority: i, ReadFrac: rf, Keys: 512, Skew: 0.99, ValueSize: 128,
-		}
-		ids[i], weights[i], prios[i] = tenants[i].ID, 1, i
-	}
-	cfg := admission.SimConfig{
-		Tenants:     tenants,
-		Duration:    500 * time.Millisecond,
-		Seed:        seed,
-		Nodes:       8,
-		Deadline:    50 * mean,
-		MaxAttempts: 3,
-		Backoff:     5 * mean,
-	}
-	if defended {
-		quotas := admission.QuotasFor(ids, weights, prios, 0.95*capacity)
-		for i := range quotas {
-			quotas[i].Burst = quotas[i].Rate * 0.02
-		}
-		cfg.Admission = &admission.Config{
-			Tenants:  quotas,
-			Target:   4 * mean,
-			Interval: 40 * mean,
-			MaxQueue: 256,
-		}
-		cfg.RetryRatio = 0.1
-		cfg.Serve = func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-			if op.Kind == workload.OpPut {
-				return store.PutCtx(ctx, coord, op.Key, op.Value)
-			}
-			_, lat, err := store.GetCtx(ctx, coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-			return lat, err
-		}
-	} else {
-		cfg.Serve = func(_ context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-			if op.Kind == workload.OpPut {
-				return store.Put(coord, op.Key, op.Value)
-			}
-			_, lat, err := store.Get(coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-			return lat, err
-		}
-	}
-	return admission.NewSim(cfg).Run(), store
-}
-
-func ovlSeeds(t *testing.T) []uint64 {
-	t.Helper()
-	env := os.Getenv("OVL_SEEDS")
-	if env == "" {
-		return []uint64{7}
-	}
-	var seeds []uint64
-	for _, f := range strings.Split(env, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("OVL_SEEDS: %v", err)
-		}
-		seeds = append(seeds, v)
-	}
-	return seeds
-}
-
 func TestOverloadAcceptance(t *testing.T) {
-	mean, capacity := ovlCalibrate(t)
-	deadline := 50 * mean
-	for _, seed := range ovlSeeds(t) {
+	mean, capacity := scenario.OverloadCalibrate()
+	var deadline time.Duration // per-request deadline of every run below
+	// run executes one 500ms overload run at mult x capacity and returns
+	// the result plus the store it ran against (for history capture).
+	run := func(seed uint64, mult float64, defended bool) (admission.SimResult, *kvstore.Store) {
+		store := scenario.OverloadStore()
+		cfg := scenario.OverloadConfig(store, scenario.OverloadNodes, mult, capacity, mean, 500*time.Millisecond, seed, defended)
+		deadline = cfg.Deadline
+		return admission.NewSim(cfg).Run(), store
+	}
+	for _, seed := range envSeeds(t, "OVL_SEEDS", 7) {
 		// Defended sweep: goodput must be flat past saturation.
 		byMult := map[float64]admission.SimResult{}
 		var lastStore *kvstore.Store
 		for _, mult := range []float64{0.5, 1, 2} {
-			byMult[mult], lastStore = ovlRun(t, seed, mult, mean, capacity, true)
+			byMult[mult], lastStore = run(seed, mult, true)
 		}
 		peak := 0.0
 		for _, res := range byMult {
@@ -180,7 +59,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		// Control run at 2x: the metastable collapse. Unbudgeted retries
 		// and no shedding drive the backlog far past the arrival window
 		// and goodput through the floor.
-		ctrl, _ := ovlRun(t, seed, 2, mean, capacity, false)
+		ctrl, _ := run(seed, 2, false)
 		if ctrl.GoodputPerSec >= 0.5*at2x.GoodputPerSec {
 			t.Fatalf("seed %d: control goodput %.0f/s did not collapse vs defended %.0f/s",
 				seed, ctrl.GoodputPerSec, at2x.GoodputPerSec)
@@ -194,7 +73,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		}
 
 		// Determinism: same seed, same config => identical checksums.
-		again, _ := ovlRun(t, seed, 2, mean, capacity, true)
+		again, _ := run(seed, 2, true)
 		if again.Checksum != at2x.Checksum || again.Goodput != at2x.Goodput {
 			t.Fatalf("seed %d: re-run diverged: checksum %x vs %x, goodput %d vs %d",
 				seed, again.Checksum, at2x.Checksum, again.Goodput, at2x.Goodput)
@@ -203,7 +82,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		// Shedding must not corrupt the store: the defended store's
 		// concurrent history stays linearizable.
 		h := check.CaptureHistory(lastStore, check.CaptureConfig{
-			Clients: 4, Waves: 20, Keys: 6, Nodes: 8,
+			Clients: 4, Waves: 20, Keys: 6, Nodes: scenario.OverloadNodes,
 			ReadFraction: 0.4, DeleteFraction: 0.1, Seed: seed,
 			IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 		})

@@ -2,10 +2,7 @@ package hpbdc
 
 import (
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -44,24 +41,6 @@ func runStreamFT(t *testing.T, seed uint64, ckptEvery int, spec string) ([]strea
 	return out, r.Metrics()
 }
 
-// streamSeeds returns the seeds to sweep: STREAM_SEEDS="1 2 3" overrides
-// the default single seed (scripts/chaos.sh uses this).
-func streamSeeds(t *testing.T) []uint64 {
-	env := os.Getenv("STREAM_SEEDS")
-	if env == "" {
-		return []uint64{7}
-	}
-	var seeds []uint64
-	for _, f := range strings.Fields(env) {
-		s, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			t.Fatalf("STREAM_SEEDS: %v", err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
-
 // TestStreamExactlyOnce is the headline acceptance test for streaming
 // fault tolerance: a fixed-seed run that crashes workers mid-window —
 // twice, with recovery from the last committed checkpoint and source-tail
@@ -75,7 +54,7 @@ func TestStreamExactlyOnce(t *testing.T) {
 20 stream-crash *
 26 stream-restore *
 `
-	for _, seed := range streamSeeds(t) {
+	for _, seed := range envSeeds(t, "STREAM_SEEDS", 7) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			clean, cleanReg := runStreamFT(t, seed, 0, "")

@@ -9,49 +9,22 @@ package hpbdc
 // pending transaction records. A coordinator crash between prepare and
 // commit must always resolve (abort or resume, never dangling), and a
 // deliberate dirty-read injection must be caught by the checker. Runs
-// under -race in CI (scripts/verify.sh). Extra seeds: TXN_SEEDS="7,42".
+// under -race in CI (scripts/verify.sh). Seeds default to 7 and 42;
+// widen with TXN_SEEDS="7,11,42".
 
 import (
-	"errors"
-	"os"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/kvstore"
 )
 
-func txnSeeds(t *testing.T) []uint64 {
-	t.Helper()
-	env := os.Getenv("TXN_SEEDS")
-	if env == "" {
-		return []uint64{7, 42}
-	}
-	var seeds []uint64
-	for _, f := range strings.Split(env, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("TXN_SEEDS: %v", err)
-		}
-		seeds = append(seeds, v)
-	}
-	return seeds
-}
-
 func txnPlane(seed uint64) *kvstore.Sharded {
 	return kvstore.NewSharded(kvstore.ShardedConfig{
 		Seed: seed, Groups: 2, InitialSplits: []string{"k04"},
 		MaxOpAttempts: 16, MaxTxnAttempts: 8,
 	})
-}
-
-// txnCleanAbort classifies errors that guarantee no effect on the store.
-func txnCleanAbort(err error) bool {
-	return errors.Is(err, kvstore.ErrTxnConflict) ||
-		errors.Is(err, kvstore.ErrTxnAborted) ||
-		errors.Is(err, kvstore.ErrKeyLocked) ||
-		errors.Is(err, kvstore.ErrDeadlineExceeded)
 }
 
 // drainAndVerify recovers the plane and asserts the three acceptance
@@ -79,14 +52,14 @@ func drainAndVerify(t *testing.T, s *kvstore.Sharded, ops []check.TxnOp, label s
 // nothing dangling.
 func TestTxnAcceptanceGauntlet(t *testing.T) {
 	crashPoints := []string{"begin", "prepare", "before-commit", "commit", "apply"}
-	for _, seed := range txnSeeds(t) {
+	for _, seed := range envSeeds(t, "TXN_SEEDS", 7, 42) {
 		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
 			s := txnPlane(seed)
 			ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
 				Clients: 4, Waves: 24, Keys: 8, TxnKeys: 2,
 				ReadFraction: 0.3, TxnFraction: 0.4,
 				Seed:     seed,
-				NoEffect: txnCleanAbort,
+				NoEffect: kvstore.NoEffect,
 				BetweenWaves: func(wave int) {
 					switch {
 					case wave == 3:
@@ -132,7 +105,7 @@ func TestTxnAcceptanceEveryCrashPointResolves(t *testing.T) {
 				Clients: 3, Waves: 8, Keys: 6, TxnKeys: 2,
 				TxnFraction: 0.6, ReadFraction: 0.2,
 				Seed:     99,
-				NoEffect: txnCleanAbort,
+				NoEffect: kvstore.NoEffect,
 				BetweenWaves: func(wave int) {
 					if wave == 2 {
 						_ = s.OrphanNext(point)
@@ -156,7 +129,7 @@ func TestTxnAcceptanceDirtyReadCaught(t *testing.T) {
 			Clients: 4, Waves: 10, Keys: 4, TxnKeys: 2,
 			ReadFraction: 0.5, TxnFraction: 0.3,
 			Seed:         seed,
-			NoEffect:     txnCleanAbort,
+			NoEffect:     kvstore.NoEffect,
 			BetweenWaves: func(wave int) { s.SetDirtyReads(wave >= 2) },
 		})
 		s.SetDirtyReads(false)
@@ -169,7 +142,7 @@ func TestTxnAcceptanceDirtyReadCaught(t *testing.T) {
 			clean := check.CaptureTxnHistory(fresh, check.TxnCaptureConfig{
 				Clients: 3, Waves: 6, Keys: 4, TxnKeys: 2,
 				Seed:     seed + 100,
-				NoEffect: txnCleanAbort,
+				NoEffect: kvstore.NoEffect,
 			})
 			drainAndVerify(t, fresh, clean, "clean-after-dirty")
 		}
