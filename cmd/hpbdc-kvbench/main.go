@@ -3,8 +3,6 @@
 // activity.
 //
 //	hpbdc-kvbench -ops 500000 -r 2 -w 2 -skew 0.99 -transport tcp
-//	hpbdc-kvbench -json -ops 20000 > kv.json   # perf-schema result JSON
-//	hpbdc-kvbench -json -bench-diff .          # diff against BENCH_kv.json
 //	hpbdc-kvbench -txn -ops 2000 -check        # sharded 2PC mix + strict serializability
 //	hpbdc-kvbench -txn -txn-chaos -check       # same, under the "txn" chaos preset
 package main
@@ -16,15 +14,14 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
+	hpbdc "repro"
 	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -49,14 +46,7 @@ func main() {
 		"after the benchmark, capture a concurrent client history and verify linearizability; exit nonzero on violation")
 	stale := flag.Bool("stale", false,
 		"enable the stale-read fault injection (with -check, demonstrates the checker catching the violation)")
-	jsonOut := flag.Bool("json", false,
-		"run through the perf harness and print a BENCH-schema result JSON instead of the human summary "+
-			"(uses the shared perf topology and quorum so results are comparable to BENCH_kv.json)")
-	benchSeed := flag.Uint64("seed", 42, "workload seed (with -json)")
-	quick := flag.Bool("quick", false, "CI-sized workload defaults (with -json)")
-	benchOut := flag.String("bench-out", "", "also write BENCH_kv.json into this directory (with -json)")
-	benchDiff := flag.String("bench-diff", "",
-		"diff the result against BENCH_kv.json in this directory; exit 1 on regression (with -json)")
+	seed := flag.Uint64("seed", 42, "workload, chaos and history-capture seed (with -txn)")
 	txnMode := flag.Bool("txn", false,
 		"drive the range-sharded transactional plane instead of the quorum store: multi-key 2PC mix "+
 			"with a mid-run split and merge; -check verifies strict serializability, -stale injects dirty reads")
@@ -70,38 +60,12 @@ func main() {
 	flag.Parse()
 
 	if *txnMode {
-		runTxn(*ops, *keys, *skew, *valueSize, *txnSpan, *txnGroups, *benchSeed, *txnChaos, *gray, *checkFlag, *stale)
+		runTxn(*ops, *keys, *skew, *valueSize, *txnSpan, *txnGroups, *seed, *txnChaos, *gray, *checkFlag, *stale)
 		return
 	}
 	if *gray {
 		fmt.Fprintln(os.Stderr, "-gray requires -txn (gray faults target the raft-backed sharded plane)")
 		os.Exit(2)
-	}
-
-	if *jsonOut {
-		// Workload-shaping flags only carry over when the user set them
-		// explicitly; otherwise the perf harness defaults apply, keeping the
-		// result comparable to the committed baseline.
-		opts := perf.Options{Quick: *quick, Seed: *benchSeed}
-		if flagWasSet("ops") {
-			opts.Ops = *ops
-		}
-		if flagWasSet("keys") {
-			opts.Keys = *keys
-		}
-		if flagWasSet("skew") {
-			opts.Skew = *skew
-		}
-		if flagWasSet("reads") {
-			opts.ReadFrac = *readFrac
-		}
-		if flagWasSet("value") {
-			opts.ValueSize = *valueSize
-		}
-		if flagWasSet("transport") {
-			opts.Transport = *transport
-		}
-		os.Exit(emitPerfResult("kv", opts, *benchOut, *benchDiff))
 	}
 
 	runClassic(ops, keys, n, r, w, skew, readFrac, valueSize, transport, nodes, checkFlag, stale,
@@ -263,59 +227,22 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-// emitPerfResult runs a perf family and prints its BENCH-schema JSON to
-// stdout; optionally writes/diffs the baseline file. Returns the exit
-// code.
-func emitPerfResult(family string, opts perf.Options, outDir, diffDir string) int {
-	res, err := perf.Run(family, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	b, err := res.Encode()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	os.Stdout.Write(b)
-	if outDir != "" {
-		if _, err := res.WriteFile(outDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if diffDir != "" {
-		base, err := perf.Load(filepath.Join(diffDir, perf.Filename(family)))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		rep := perf.Diff(base, res, perf.DiffOptions{})
-		fmt.Fprint(os.Stderr, rep.String())
-		if !rep.OK() {
-			return 1
-		}
-	}
-	return 0
-}
-
 func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int,
 	transport *string, nodes *int, checkFlag, stale *bool,
 	deadline time.Duration, admissionMult float64) {
-	var model netsim.Model
-	switch *transport {
-	case "rdma":
-		model = netsim.RDMA40G
-	case "ipoib":
-		model = netsim.IPoIB40G
-	default:
-		model = netsim.TCP40G
+	model, err := hpbdc.TransportModel(*transport)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-transport: %v\n", err)
+		os.Exit(2)
 	}
 	racks := *nodes / 4
 	if racks < 1 {
 		racks = 1
 	}
-	fab := netsim.NewFabric(topology.TwoTier(racks, *nodes/racks, 2), model)
+	// Size is the built cluster: -nodes rounds down to whole racks.
+	top := topology.TwoTier(racks, *nodes/racks, 2)
+	size := top.Size()
+	fab := netsim.NewFabric(top, model)
 	store, err := kvstore.New(kvstore.Config{Fabric: fab, N: *n, R: *r, W: *w})
 	if err != nil {
 		log.Fatal(err)
@@ -325,7 +252,7 @@ func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int
 	start := time.Now()
 	notFound, timeouts := 0, 0
 	for i, op := range trace {
-		coord := topology.NodeID(i % *nodes)
+		coord := topology.NodeID(i % size)
 		ctx := context.Background()
 		if deadline > 0 {
 			ctx = admission.WithBudget(ctx, deadline)
@@ -360,7 +287,7 @@ func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int
 	get := store.Reg.Histogram("get_latency_ns").Snapshot()
 	put := store.Reg.Histogram("put_latency_ns").Snapshot()
 	fmt.Printf("%d ops on %d nodes (N=%d R=%d W=%d, %s, zipf %.2f) in %v: %.0f ops/s\n",
-		*ops, *nodes, *n, *r, *w, model.Name, *skew, elapsed.Round(time.Millisecond),
+		*ops, size, *n, *r, *w, model.Name, *skew, elapsed.Round(time.Millisecond),
 		float64(*ops)/elapsed.Seconds())
 	fmt.Printf("get: mean %v p99 %v  (%d misses)\n",
 		time.Duration(int64(get.Mean)).Round(time.Microsecond),
@@ -377,7 +304,7 @@ func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int
 	}
 
 	if admissionMult > 0 {
-		runOverload(store, *nodes, admissionMult)
+		runOverload(store, size, admissionMult)
 	}
 
 	if *checkFlag {
@@ -386,7 +313,7 @@ func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int
 			fmt.Println("stale-read fault injection ENABLED — the check below should fail")
 		}
 		h := check.CaptureHistory(store, check.CaptureConfig{
-			Clients: 4, Waves: 50, Keys: 8, Nodes: *nodes,
+			Clients: 4, Waves: 50, Keys: 8, Nodes: size,
 			ReadFraction: 0.4, DeleteFraction: 0.1, Seed: 7,
 			IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 		})

@@ -609,7 +609,11 @@ func (e *Engine) newWriter(dep *ShuffleDep) (shuffle.Writer, error) {
 // runResult executes the final stage, returning partition rows.
 func (e *Engine) runResult(ctx context.Context, p *Plan) ([][]Row, error) {
 	out := make([][]Row, p.parts)
+	// A losing speculative copy may still run after the wave resolved;
+	// once runTasks returns, out belongs to the caller and closed keeps
+	// such a copy from writing into it.
 	var outMu sync.Mutex
+	closed := false
 	parts := make([]int, p.parts)
 	for i := range parts {
 		parts[i] = i
@@ -623,10 +627,15 @@ func (e *Engine) runResult(ctx context.Context, p *Plan) ([][]Row, error) {
 			return err
 		}
 		outMu.Lock()
-		out[tc.Partition] = rows
+		if !closed {
+			out[tc.Partition] = rows
+		}
 		outMu.Unlock()
 		return nil
 	})
+	outMu.Lock()
+	closed = true
+	outMu.Unlock()
 	endStage(map[string]string{"tasks": strconv.Itoa(len(parts))})
 	if err != nil {
 		return nil, err

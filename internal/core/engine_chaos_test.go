@@ -62,6 +62,33 @@ func TestSpeculativeBackupWinsForStraggler(t *testing.T) {
 	}
 }
 
+// A losing copy can run its task after the wave resolved: node 3's
+// queued primaries wait for a slot behind stalled ones while their
+// backups win elsewhere. Once Run has returned, such a copy must not
+// write into the caller's result.
+func TestLateSpeculativeCopyLeavesResultAlone(t *testing.T) {
+	e := testEngine(t, 4, Config{
+		Speculation:    true,
+		SpeculationMin: 2 * time.Millisecond,
+	})
+	if err := e.Cluster().SetSlowdown(3, 60*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := e.Run(sliceSource(e, ints(400), 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range parts {
+		parts[i] = nil // the caller owns the result now
+	}
+	time.Sleep(200 * time.Millisecond) // node 3 drains its queued copies
+	for i, rows := range parts {
+		if rows != nil {
+			t.Fatalf("partition %d was rewritten after Run returned", i)
+		}
+	}
+}
+
 func TestJobDeadlineAbortsCleanly(t *testing.T) {
 	e := testEngine(t, 4, Config{JobDeadline: 15 * time.Millisecond})
 	for _, n := range e.Cluster().LiveNodes() {

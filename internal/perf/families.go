@@ -52,8 +52,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configures a family run. Zero values take family defaults;
-// the binaries map their flags here so all three share one harness.
+// Options configures a family run. Each family's workload sizes are
+// fixed constants, so every run of a family diffs against its baseline;
+// hpbdc-bench -bench is the one entry point that sets these.
 type Options struct {
 	// Quick shrinks the workload for CI (same shape of measurement,
 	// smaller sizes — quick results diff only against quick baselines,
@@ -61,23 +62,14 @@ type Options struct {
 	Quick bool
 	// Seed drives all workload randomness. Default 42.
 	Seed uint64
-	// Transport is the netsim model name ("rdma", "tcp", "ipoib").
-	// Default "rdma".
-	Transport string
+}
 
-	// KV family: operation count, key-space size, zipf skew, read
-	// fraction, value size.
-	Ops, Keys int
-	Skew      float64
-	ReadFrac  float64
-	ValueSize int
-
-	// Shuffle/terasort: rounds and records per round.
-	Rounds, Records int
-
-	// Stream: total events and barrier cadence.
-	Events          int64
-	CheckpointEvery int
+// size picks a family's workload size: quick in Quick mode, else full.
+func (o Options) size(full, quick int) int {
+	if o.Quick {
+		return quick
+	}
+	return full
 }
 
 // Families lists the runnable family names in canonical order.
@@ -90,9 +82,6 @@ func Families() []string { return []string{"shuffle", "stream", "kv", "terasort"
 func Run(family string, o Options) (*Result, error) {
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.Transport == "" {
-		o.Transport = "rdma"
 	}
 	var run func(Options) (*Result, error)
 	switch family {
@@ -193,7 +182,7 @@ func primaryRate(m map[string]float64) string {
 // newResult stamps the invariant header fields.
 func newResult(family string, o Options, params map[string]string) *Result {
 	params["seed"] = fmt.Sprint(o.Seed)
-	params["transport"] = o.Transport
+	params["transport"] = "rdma" // every family runs on netsim.RDMA40G, hpbdc.New's default
 	params["quick"] = fmt.Sprint(o.Quick)
 	return &Result{
 		Schema:  SchemaVersion,
@@ -231,43 +220,20 @@ func windowsFromSamples(samples []metrics.WindowSample) []Window {
 // the whole trajectory — windows included — is a pure function of the
 // seed: windows advance by accumulated virtual time, not wall clock.
 func runKV(o Options) (*Result, error) {
-	if o.Ops <= 0 {
-		o.Ops = 20_000
-		if o.Quick {
-			o.Ops = 5_000
-		}
-	}
-	if o.Keys <= 0 {
-		o.Keys = 512
-	}
-	if o.Skew == 0 {
-		o.Skew = 0.99
-	}
-	if o.ReadFrac == 0 {
-		o.ReadFrac = 0.8
-	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = 128
-	}
-	model, err := transportModel(o.Transport)
-	if err != nil {
-		return nil, err
-	}
+	const keys, skew, readFrac, valueSize = 512, 0.99, 0.8, 128
+	nOps := o.size(20_000, 5_000)
 	top := topology.TwoTier(2, 4, 2)
-	fabric := netsim.NewFabric(top, model)
+	fabric := netsim.NewFabric(top, netsim.RDMA40G)
 	store, err := kvstore.New(kvstore.Config{Fabric: fabric, N: 3, R: 2, W: 2})
 	if err != nil {
 		return nil, err
 	}
-	ops := workload.KVOps(o.Ops, o.Keys, o.Skew, o.ReadFrac, o.ValueSize, o.Seed)
+	ops := workload.KVOps(nOps, keys, skew, readFrac, valueSize, o.Seed)
 
 	// Window by virtual time so the series is deterministic. Width is
 	// sized to the op count so both modes produce a useful handful of
 	// windows; it is pinned in Params, so baselines stay comparable.
-	width := 5 * time.Millisecond
-	if o.Quick {
-		width = 2 * time.Millisecond
-	}
+	width := time.Duration(o.size(5, 2)) * time.Millisecond
 	reads := metrics.NewWindowedHistogram(width)
 	writes := metrics.NewWindowedHistogram(width)
 	all := metrics.NewWindowedHistogram(width)
@@ -308,16 +274,16 @@ func runKV(o Options) (*Result, error) {
 	}
 
 	r := newResult("kv", o, map[string]string{
-		"ops":        fmt.Sprint(o.Ops),
-		"keys":       fmt.Sprint(o.Keys),
-		"skew":       fmt.Sprint(o.Skew),
-		"read_frac":  fmt.Sprint(o.ReadFrac),
-		"value_size": fmt.Sprint(o.ValueSize),
+		"ops":        fmt.Sprint(nOps),
+		"keys":       fmt.Sprint(keys),
+		"skew":       fmt.Sprint(skew),
+		"read_frac":  fmt.Sprint(readFrac),
+		"value_size": fmt.Sprint(valueSize),
 		"window_ms":  fmt.Sprint(width.Milliseconds()),
 		"quorum":     "n3r2w2",
 	})
 	r.Windows = windowsFromSamples(all.Series())
-	r.Shape["ops"] = int64(o.Ops)
+	r.Shape["ops"] = int64(nOps)
 	r.Shape["reads"] = nGet
 	r.Shape["writes"] = nPut
 	r.Shape["hits"] = hits
@@ -333,7 +299,7 @@ func runKV(o Options) (*Result, error) {
 	r.Metrics["put_p999_ns"] = float64(wt.P999)
 	r.Metrics["virtual_elapsed_ns"] = float64(virtual)
 	if virtual > 0 {
-		r.Metrics["ops_per_sec"] = float64(o.Ops) / virtual.Seconds()
+		r.Metrics["ops_per_sec"] = float64(nOps) / virtual.Seconds()
 	}
 
 	// Overload segment: drive the same store build at 2x its measured
@@ -341,12 +307,9 @@ func runKV(o Options) (*Result, error) {
 	// whole segment is virtual time, so goodput-at-saturation and the
 	// admitted tail are seed-deterministic; its windows are appended
 	// after the mix's, offset by the mix's virtual elapsed time.
-	mean, capacity := scenario.Capacity(virtual / time.Duration(o.Ops))
-	ovlDur := 500 * time.Millisecond
-	if o.Quick {
-		ovlDur = 200 * time.Millisecond
-	}
-	ovlStore, err := kvstore.New(kvstore.Config{Fabric: netsim.NewFabric(top, model), N: 3, R: 2, W: 2})
+	mean, capacity := scenario.Capacity(virtual / time.Duration(nOps))
+	ovlDur := time.Duration(o.size(500, 200)) * time.Millisecond
+	ovlStore, err := kvstore.New(kvstore.Config{Fabric: netsim.NewFabric(top, netsim.RDMA40G), N: 3, R: 2, W: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -369,16 +332,13 @@ func runKV(o Options) (*Result, error) {
 	// the trajectory crosses topology changes. The plane's virtual cost
 	// model is the clock, so windows, counters and the read checksum are
 	// all seed-deterministic; windows append after the overload segment's.
-	txnN := 600
-	if o.Quick {
-		txnN = 200
-	}
+	txnN := o.size(600, 200)
 	sh := kvstore.NewSharded(kvstore.ShardedConfig{
 		Seed: o.Seed, Groups: 2, InitialSplits: []string{"key-00000040"},
 		MaxOpAttempts: 16, MaxTxnAttempts: 8,
 	})
 	txns := workload.TxnOps(workload.TxnSpec{
-		N: txnN, Keys: 128, Span: 2, Skew: o.Skew, ValueSize: 32, Seed: o.Seed,
+		N: txnN, Keys: 128, Span: 2, Skew: skew, ValueSize: 32, Seed: o.Seed,
 	})
 	txnWindows := metrics.NewWindowedHistogram(width)
 	txnSum := fnv.New64a()
@@ -396,12 +356,12 @@ func runKV(o Options) (*Result, error) {
 			}
 			return nil, fmt.Errorf("perf: kv txn %d: %w", i, err)
 		}
-		keys := make([]string, 0, len(got))
+		read := make([]string, 0, len(got))
 		for k := range got {
-			keys = append(keys, k)
+			read = append(read, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		sort.Strings(read)
+		for _, k := range read {
 			txnSum.Write([]byte(k))
 			txnSum.Write(got[k])
 		}
@@ -435,19 +395,6 @@ func runKV(o Options) (*Result, error) {
 	return r, nil
 }
 
-func transportModel(name string) (netsim.Model, error) {
-	switch name {
-	case "rdma", "":
-		return netsim.RDMA40G, nil
-	case "tcp":
-		return netsim.TCP40G, nil
-	case "ipoib":
-		return netsim.IPoIB40G, nil
-	default:
-		return netsim.Model{}, fmt.Errorf("perf: unknown transport %q", name)
-	}
-}
-
 // ---- shuffle ---------------------------------------------------------------
 
 // runShuffle is the matching-records workload: each round generates
@@ -457,18 +404,7 @@ func transportModel(name string) (netsim.Model, error) {
 // sorted (rule, count) pairs, so any change in what got shuffled is a
 // shape break.
 func runShuffle(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 5
-		if o.Quick {
-			o.Rounds = 3
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 48_000
-		if o.Quick {
-			o.Records = 16_000
-		}
-	}
+	rounds, records := o.size(5, 3), o.size(48_000, 16_000)
 	const parts = 8
 	const reduceParts = 4
 	const rules = 64
@@ -479,14 +415,10 @@ func runShuffle(o Options) (*Result, error) {
 	var totalWall time.Duration
 	var lastFetches fetchCost
 
-	for round := 0; round < o.Rounds; round++ {
-		ctx := hpbdc.New(hpbdc.Config{
-			Racks: 2, NodesPerRack: 4,
-			Transport: o.Transport,
-			Seed:      o.Seed + uint64(round),
-		})
+	for round := 0; round < rounds; round++ {
+		ctx := hpbdc.New(hpbdc.Config{Racks: 2, NodesPerRack: 4, Seed: o.Seed + uint64(round)})
 		roundSeed := o.Seed + uint64(round)*1_000_003
-		perPart := o.Records / parts
+		perPart := records / parts
 		src := hpbdc.SourceFunc(ctx, parts, func(part int) []uint64 {
 			out := make([]uint64, perPart)
 			// SplitMix-style stream decorrelated per (round, partition).
@@ -544,8 +476,8 @@ func runShuffle(o Options) (*Result, error) {
 	}
 
 	r := newResult("shuffle", o, map[string]string{
-		"rounds":       fmt.Sprint(o.Rounds),
-		"records":      fmt.Sprint(o.Records),
+		"rounds":       fmt.Sprint(rounds),
+		"records":      fmt.Sprint(records),
 		"parts":        fmt.Sprint(parts),
 		"reduce_parts": fmt.Sprint(reduceParts),
 		"rules":        fmt.Sprint(rules),
@@ -592,20 +524,13 @@ func readFetchCost(ctx *hpbdc.Context) fetchCost {
 // hook; the result set, its checksum and the committed checkpoint
 // bytes are seed-deterministic shape.
 func runStream(o Options) (*Result, error) {
-	if o.Events <= 0 {
-		o.Events = 60_000
-		if o.Quick {
-			o.Events = 20_000
-		}
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 2_000
-	}
+	events := int64(o.size(60_000, 20_000))
+	const checkpointEvery = 2_000
 	const keys = 64
 	const workers = 4
-	src := stream.NewGeneratorSource(o.Seed, o.Events, keys, time.Millisecond, 4*time.Millisecond)
+	src := stream.NewGeneratorSource(o.Seed, events, keys, time.Millisecond, 4*time.Millisecond)
 
-	blockEvery := int(o.Events / 12)
+	blockEvery := int(events / 12)
 	if blockEvery < 1 {
 		blockEvery = 1
 	}
@@ -618,7 +543,7 @@ func runStream(o Options) (*Result, error) {
 			Buffer:  256,
 			Window:  50 * time.Millisecond,
 		},
-		CheckpointEvery: o.CheckpointEvery,
+		CheckpointEvery: checkpointEvery,
 		WatermarkEvery:  256,
 		WatermarkLag:    5 * time.Millisecond,
 		TickEvery:       blockEvery,
@@ -658,14 +583,14 @@ func runStream(o Options) (*Result, error) {
 	ckpt := reg.Histogram("checkpoint_duration_ns").Snapshot()
 
 	r := newResult("stream", o, map[string]string{
-		"events":           fmt.Sprint(o.Events),
+		"events":           fmt.Sprint(events),
 		"keys":             fmt.Sprint(keys),
 		"workers":          fmt.Sprint(workers),
-		"checkpoint_every": fmt.Sprint(o.CheckpointEvery),
+		"checkpoint_every": fmt.Sprint(checkpointEvery),
 		"window_ms":        "50",
 	})
 	r.Windows = windows
-	r.Shape["events"] = o.Events
+	r.Shape["events"] = events
 	r.Shape["results"] = int64(len(results))
 	r.Shape["results_checksum"] = int64(sum.Sum64() >> 1)
 	r.Shape["checkpoints_committed"] = reg.Counter("checkpoints_committed").Value()
@@ -674,7 +599,7 @@ func runStream(o Options) (*Result, error) {
 	// Throughput gates; checkpoint encode time is wall-measured over few
 	// samples, so only its mean is summarized (percentiles stay in the
 	// run's histogram for interactive inspection).
-	r.Metrics["events_per_sec"] = float64(o.Events) / totalWall.Seconds()
+	r.Metrics["events_per_sec"] = float64(events) / totalWall.Seconds()
 	r.Metrics["checkpoint_mean_ns"] = ckpt.Mean
 	return r, nil
 }
@@ -685,18 +610,7 @@ func runStream(o Options) (*Result, error) {
 // The checksum folds the first and last key of every output partition
 // — enough to pin both the partition boundaries and the sort order.
 func runTerasort(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 3
-		if o.Quick {
-			o.Rounds = 2
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 60_000
-		if o.Quick {
-			o.Records = 24_000
-		}
-	}
+	rounds, records := o.size(3, 2), o.size(60_000, 24_000)
 	const parts = 8
 
 	var windows []Window
@@ -705,13 +619,9 @@ func runTerasort(o Options) (*Result, error) {
 	var totalWall time.Duration
 	var lastFetches fetchCost
 
-	for round := 0; round < o.Rounds; round++ {
-		ctx := hpbdc.New(hpbdc.Config{
-			Racks: 2, NodesPerRack: 4,
-			Transport: o.Transport,
-			Seed:      o.Seed + uint64(round),
-		})
-		perPart := o.Records / parts
+	for round := 0; round < rounds; round++ {
+		ctx := hpbdc.New(hpbdc.Config{Racks: 2, NodesPerRack: 4, Seed: o.Seed + uint64(round)})
+		perPart := records / parts
 		roundSeed := o.Seed + uint64(round)*7_919
 		gen := hpbdc.SourceFunc(ctx, parts, func(part int) []hpbdc.Pair[string, string] {
 			recs := workload.TeraGen(perPart, roundSeed+uint64(part))
@@ -766,8 +676,8 @@ func runTerasort(o Options) (*Result, error) {
 	}
 
 	r := newResult("terasort", o, map[string]string{
-		"rounds":  fmt.Sprint(o.Rounds),
-		"records": fmt.Sprint(o.Records),
+		"rounds":  fmt.Sprint(rounds),
+		"records": fmt.Sprint(records),
 		"parts":   fmt.Sprint(parts),
 	})
 	r.Windows = windows
@@ -791,25 +701,10 @@ func runTerasort(o Options) (*Result, error) {
 // decoded/skipped) pin pushdown behavior, which is a pure function of
 // the seed. Wall throughput is threshold-compared.
 func runQuery(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 3
-		if o.Quick {
-			o.Rounds = 2
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 6_000
-		if o.Quick {
-			o.Records = 2_000
-		}
-	}
-	model, err := transportModel(o.Transport)
-	if err != nil {
-		return nil, err
-	}
+	rounds, factRows := o.size(3, 2), o.size(6_000, 2_000)
 	const parts = 4
 	custN, prodN, dateN := 120, 40, 48
-	broadcastRows := int64(o.Records / 4)
+	broadcastRows := int64(factRows / 4)
 
 	var windows []Window
 	var totalRows, totalQueries int64
@@ -818,12 +713,12 @@ func runQuery(o Options) (*Result, error) {
 	var totalWall time.Duration
 
 	suite := query.StarQueries()
-	for round := 0; round < o.Rounds; round++ {
-		fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), model)
+	for round := 0; round < rounds; round++ {
+		fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.RDMA40G)
 		cl := cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
 		eng := core.NewEngine(core.Config{Cluster: cl, Seed: o.Seed})
 		env := query.NewEnv(eng, nil)
-		rels := query.GenStar(o.Seed+uint64(round)*1_000_003, o.Records, custN, prodN, dateN)
+		rels := query.GenStar(o.Seed+uint64(round)*1_000_003, factRows, custN, prodN, dateN)
 		if err := query.RegisterStar(env, rels, parts); err != nil {
 			return nil, fmt.Errorf("perf: query round %d: %w", round, err)
 		}
@@ -875,8 +770,8 @@ func runQuery(o Options) (*Result, error) {
 	}
 
 	r := newResult("query", o, map[string]string{
-		"rounds":         fmt.Sprint(o.Rounds),
-		"fact_rows":      fmt.Sprint(o.Records),
+		"rounds":         fmt.Sprint(rounds),
+		"fact_rows":      fmt.Sprint(factRows),
 		"parts":          fmt.Sprint(parts),
 		"queries":        fmt.Sprint(len(suite)),
 		"broadcast_rows": fmt.Sprint(broadcastRows),

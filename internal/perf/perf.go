@@ -1,15 +1,16 @@
 // Package perf is the benchmark-trajectory subsystem: it runs named
 // workload families (shuffle matching-records in the ShuffleBench
 // style, stream sustained-throughput with checkpoint cost, a YCSB-ish
-// KV read/write mix, terasort) under fixed seeds, samples time-windowed
-// throughput and latency percentiles, and writes versioned
-// BENCH_<family>.json files that CI diffs against the committed
-// trajectory. The split that makes this workable is Shape vs Metrics:
-// Shape fields (record counts, checksums, checkpoint bytes, window
-// counts) are pure functions of the seed and must match exactly — a
-// mismatch means the workload changed, not its speed — while Metrics
-// fields (throughput, latency percentiles) carry wall-clock noise and
-// are compared against a relative threshold by the differ (diff.go).
+// KV read/write mix, terasort, the star-schema query suite, gray-failure
+// availability) under fixed seeds, samples time-windowed throughput and
+// latency percentiles, and writes versioned BENCH_<family>.json files
+// that CI diffs against the committed trajectory. The split that makes
+// this workable is Shape vs Metrics: Shape fields (record counts,
+// checksums, checkpoint bytes, window counts) are pure functions of the
+// seed and must match exactly — a mismatch means the workload changed,
+// not its speed — while Metrics fields (throughput, latency percentiles)
+// carry wall-clock noise and are compared against a relative threshold
+// by the differ (diff.go).
 package perf
 
 import (

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"maps"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -18,7 +19,9 @@ func TestRunUnknownFamily(t *testing.T) {
 // Every family must be seed-deterministic in Shape: two runs with the
 // same options produce byte-identical Shape maps and the same window
 // count, even though wall-clock Metrics differ. This is the invariant
-// the differ's exact-match side leans on.
+// the differ's exact-match side leans on. The quick Params must also
+// equal the committed baseline's (seed aside), so a drifted workload
+// size fails here, not only in the bench diff.
 func TestFamiliesShapeDeterminism(t *testing.T) {
 	for _, fam := range Families() {
 		fam := fam
@@ -40,6 +43,16 @@ func TestFamiliesShapeDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a.Params, b.Params) {
 				t.Fatalf("params differ: %v vs %v", a.Params, b.Params)
+			}
+			base, err := Load(filepath.Join("..", "..", Filename(fam)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := maps.Clone(base.Params), maps.Clone(a.Params)
+			delete(want, "seed")
+			delete(got, "seed")
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("quick params drifted from the committed baseline:\n  got  %v\n  want %v", got, want)
 			}
 			// And the differ agrees the two runs are comparable.
 			if rep := Diff(a, b, DiffOptions{}); !rep.OK() {

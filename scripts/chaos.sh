@@ -15,20 +15,20 @@ SEEDS=${SEEDS:-"1 7 42"}
 PRESETS=${PRESETS:-"crash partition straggler flaky mixed"}
 RECORDS=${RECORDS:-20000}
 
-echo "== chaos acceptance tests (race, seeds: $SEEDS) =="
+echo "== chaos acceptance tests (race, cpu 1,2,4 x2, seeds: $SEEDS) =="
 # Includes the checked sweep (TestChaosCheckedSweep: every preset x seed
 # diffed against the sequential reference oracle), the KV
 # linearizability sweep and the stale-read checker self-test.
-CHAOS_SEEDS="$SEEDS" go test -race -run 'TestChaos' . -count=1
+CHAOS_SEEDS="$SEEDS" go test -race -run 'TestChaos' . -cpu 1,2,4 -count=2
 
-echo "== control-plane HA sweep (race, seeds: $SEEDS) =="
+echo "== control-plane HA sweep (race, cpu 1,2,4 x2, seeds: $SEEDS) =="
 # Namenode leader crash + coordinator crash mid-job under the "ha"
 # preset: the job must finish, record a failover and resume journaled
 # stages (TestHAAcceptance), deterministically (TestHADeterministicReplay).
-HA_SEEDS="$SEEDS" go test -race -run 'TestHA' . -count=1
+HA_SEEDS="$SEEDS" go test -race -run 'TestHA' . -cpu 1,2,4 -count=2
 
-echo "== stream exactly-once recovery sweep (race, seeds: $SEEDS) =="
-STREAM_SEEDS="$SEEDS" go test -race -run 'TestStream' . -count=1
+echo "== stream exactly-once recovery sweep (race, cpu 1,2,4 x2, seeds: $SEEDS) =="
+STREAM_SEEDS="$SEEDS" go test -race -run 'TestStream' . -cpu 1,2,4 -count=2
 go test -race -run 'TestPipelineCloseRace|TestSessionizerCloseRace|TestRunner' \
     ./internal/stream/ -count=1
 
