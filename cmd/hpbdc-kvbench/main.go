@@ -75,9 +75,9 @@ func main() {
 // runTxn drives the range-sharded transactional plane: a read-modify-write
 // 2PC mix from workload.TxnOps with a split and a merge mid-run, optionally
 // under the "txn" chaos preset and/or a gray one-way fault episode,
-// finishing with orphan recovery and the zero-locks / zero-records
-// invariants. With -check it additionally captures a concurrent
-// multi-client history and verdicts strict serializability.
+// finishing with scenario.DrainTxns: orphan recovery and the zero-locks /
+// zero-records invariants. With -check it additionally captures a
+// concurrent multi-client history and verdicts strict serializability.
 func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint64,
 	withChaos, gray, checkFlag, dirty bool) {
 	if !flagWasSet("ops") {
@@ -164,29 +164,19 @@ func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint6
 	for ctl != nil && !ctl.Done() {
 		ctl.Tick()
 	}
-	if err := s.Recover(); err != nil {
-		log.Fatalf("recover: %v", err)
-	}
-	locks, err := s.LockCount()
-	if err != nil {
-		log.Fatal(err)
-	}
-	pending, err := s.PendingTxnRecords()
+	drain, err := scenario.DrainTxns(s, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	virtual := s.VirtualCost()
-	committed := s.Reg.Counter("txn_committed").Value()
-	recovered := s.Reg.Counter("txn_recovered_aborted").Value() +
-		s.Reg.Counter("txn_recovered_resumed").Value()
 	fmt.Printf("%d txns (span %d) over %d ranges x %d groups in %v virtual: %.0f txn/s\n",
 		ops, span, s.RangeCount(), groups, virtual.Round(time.Millisecond),
 		float64(ops)/virtual.Seconds())
 	fmt.Printf("committed %d, clean aborts %d, ambiguous %d (recovery resolved %d)\n",
-		committed, conflicts, orphaned, recovered)
-	fmt.Printf("after recovery: %d locks, %d pending txn records\n", locks, pending)
-	if locks != 0 || pending != 0 {
+		drain.Committed, conflicts, orphaned, drain.Recovered)
+	fmt.Printf("after recovery: %d locks, %d pending txn records\n", drain.Locks, drain.Pending)
+	if drain.Locks != 0 || drain.Pending != 0 {
 		fmt.Println("INVARIANT VIOLATION: locks/records left dangling")
 		os.Exit(1)
 	}
@@ -202,11 +192,7 @@ func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint6
 			s.SetDirtyReads(true)
 			fmt.Println("dirty-read fault injection ENABLED — the check below should fail")
 		}
-		ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
-			Clients: 4, Waves: 20, Keys: 8, TxnKeys: span,
-			ReadFraction: 0.3, TxnFraction: 0.4, Seed: seed,
-			NoEffect: kvstore.NoEffect,
-		})
+		ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{Clients: 4, Waves: 20, TxnKeys: span, Seed: seed})
 		s.SetDirtyReads(false)
 		verdict := check.CheckTxns(ops)
 		fmt.Printf("strict serializability: %s\n", verdict)

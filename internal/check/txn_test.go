@@ -83,10 +83,7 @@ func TestCheckTxnsPendingMayCommitOrAbort(t *testing.T) {
 
 func TestCaptureTxnHistoryCleanRunIsStrictlySerializable(t *testing.T) {
 	s := kvstore.NewSharded(kvstore.ShardedConfig{Seed: 21, Groups: 2, InitialSplits: []string{"k04"}})
-	ops := CaptureTxnHistory(s, TxnCaptureConfig{
-		Clients: 4, Waves: 12, Keys: 8, TxnKeys: 2, Seed: 21,
-		NoEffect: kvstore.NoEffect,
-	})
+	ops := CaptureTxnHistory(s, TxnCaptureConfig{Clients: 4, Waves: 12, Seed: 21})
 	if len(ops) == 0 {
 		t.Fatal("empty history")
 	}
@@ -107,9 +104,8 @@ func TestCaptureTxnHistoryDirtyReadsCaught(t *testing.T) {
 	caught := false
 	for seed := uint64(33); seed < 37 && !caught; seed++ {
 		ops := CaptureTxnHistory(s, TxnCaptureConfig{
-			Clients: 4, Waves: 10, Keys: 4, TxnKeys: 2, Seed: seed,
+			Clients: 4, Waves: 10, Keys: 4, Seed: seed,
 			ReadFraction: 0.5, TxnFraction: 0.3,
-			NoEffect:     kvstore.NoEffect,
 			BetweenWaves: func(wave int) { s.SetDirtyReads(wave >= 2) },
 		})
 		caught = !CheckTxns(ops).OK

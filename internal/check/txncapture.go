@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/kvstore"
 	"repro/internal/rng"
 )
 
@@ -40,10 +41,6 @@ type TxnCaptureConfig struct {
 	TxnKeys int
 	// Seed drives every client's operation choices.
 	Seed uint64
-	// NoEffect classifies an error as "guaranteed no effect" (e.g. a
-	// clean conflict abort): the operation is omitted from the history.
-	// Any other error is ambiguous and recorded as pending; required.
-	NoEffect func(error) bool
 	// BetweenWaves, if set, runs after each wave with no operation in
 	// flight — the place to tick chaos, crash coordinators, or split.
 	BetweenWaves func(wave int)
@@ -51,9 +48,10 @@ type TxnCaptureConfig struct {
 
 // CaptureTxnHistory runs the concurrent transactional workload and
 // returns the recorded operations. Failed gets are omitted (they
-// observed nothing); failed puts and transactions are omitted when the
-// error guarantees no effect, and otherwise recorded as pending
-// (Return=InfTime) with their reads dropped — the client never saw them.
+// observed nothing); failed puts and transactions are omitted when
+// kvstore.NoEffect says the error guarantees no effect (a clean abort),
+// and otherwise recorded as pending (Return=InfTime) with their reads
+// dropped — the client never saw them.
 func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
@@ -69,9 +67,6 @@ func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
 	}
 	if cfg.ReadFraction == 0 && cfg.TxnFraction == 0 {
 		cfg.ReadFraction, cfg.TxnFraction = 0.3, 0.4
-	}
-	if cfg.NoEffect == nil {
-		panic("check: TxnCaptureConfig.NoEffect is required")
 	}
 
 	h := NewHistory() // used only for its logical clock
@@ -135,7 +130,7 @@ func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
 						op.Writes = append(op.Writes, TxnWrite{Key: k, Value: value})
 					}
 					if err != nil {
-						if cfg.NoEffect(err) {
+						if kvstore.NoEffect(err) {
 							return
 						}
 						op.Return = InfTime // ambiguous: may have committed
@@ -152,7 +147,7 @@ func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
 					inv := h.Stamp()
 					err := kv.Put(ctx, key, []byte(value))
 					ret := h.Stamp()
-					if err != nil && cfg.NoEffect(err) {
+					if err != nil && kvstore.NoEffect(err) {
 						return
 					}
 					if err != nil {

@@ -8,45 +8,11 @@ import (
 	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/query"
 	"repro/internal/table"
 	"repro/internal/topology"
 )
-
-// sqlCounters is a snapshot of the columnar-scan pushdown counters;
-// they are cumulative per registry, so rows report deltas.
-type sqlCounters struct {
-	scanned, pruned, decoded, skipped int64
-}
-
-func snapSQLCounters(reg *metrics.Registry) sqlCounters {
-	return sqlCounters{
-		scanned: reg.Counter(table.CtrRowsScanned).Value(),
-		pruned:  reg.Counter(table.CtrRowsPruned).Value(),
-		decoded: reg.Counter(table.CtrBytesDecoded).Value(),
-		skipped: reg.Counter(table.CtrBytesSkipped).Value(),
-	}
-}
-
-func (a sqlCounters) delta(b sqlCounters) sqlCounters {
-	return sqlCounters{
-		scanned: a.scanned - b.scanned,
-		pruned:  a.pruned - b.pruned,
-		decoded: a.decoded - b.decoded,
-		skipped: a.skipped - b.skipped,
-	}
-}
-
-func (a sqlCounters) add(b sqlCounters) sqlCounters {
-	return sqlCounters{
-		scanned: a.scanned + b.scanned,
-		pruned:  a.pruned + b.pruned,
-		decoded: a.decoded + b.decoded,
-		skipped: a.skipped + b.skipped,
-	}
-}
 
 // sqlStarEnv loads the star schema into a fresh engine.
 func sqlStarEnv(factRows, custN, prodN, parts int) (*query.Env, *core.Engine, error) {
@@ -110,14 +76,14 @@ func ESQLPlanner(s Scale) *Table {
 	}
 	reg := env.Reg
 
-	var totNaive, totOpt sqlCounters
+	var totNaive, totOpt table.ScanCounters
 	for _, q := range query.StarQueries() {
-		run := func(optimize bool) (*query.Plan, []table.Row, sqlCounters, check.Diff) {
+		run := func(optimize bool) (*query.Plan, []table.Row, table.ScanCounters, check.Diff) {
 			name := "E-SQL/" + q.ID
 			if !optimize {
 				name += "/naive"
 			}
-			before := snapSQLCounters(reg)
+			before := table.ReadScanCounters(reg)
 			plan, err := env.SQL(q.SQL, query.Options{Optimize: optimize, Parts: parts, BroadcastRows: broadcastRows})
 			if err != nil {
 				panic(fmt.Sprintf("%s: %v", name, err))
@@ -127,12 +93,12 @@ func ESQLPlanner(s Scale) *Table {
 				panic(fmt.Sprintf("%s: %v", name, err))
 			}
 			d := recordCheck(check.DiffQueryEnv(name, rows, plan.Logical, env))
-			return plan, rows, snapSQLCounters(reg).delta(before), d
+			return plan, rows, table.ReadScanCounters(reg).Sub(before), d
 		}
 		_, _, naiveC, naiveDiff := run(false)
 		plan, rows, optC, optDiff := run(true)
-		totNaive = totNaive.add(naiveC)
-		totOpt = totOpt.add(optC)
+		totNaive = totNaive.Add(naiveC)
+		totOpt = totOpt.Add(optC)
 		verdict := "ok"
 		if !naiveDiff.OK || !optDiff.OK {
 			verdict = "FAIL"
@@ -142,14 +108,14 @@ func ESQLPlanner(s Scale) *Table {
 			joinKinds(plan),
 			fmt.Sprintf("%.0f", plan.Root.Est),
 			fmt.Sprintf("%d", plan.Root.Actual()),
-			fmt.Sprintf("%d", naiveC.decoded),
-			fmt.Sprintf("%d", optC.decoded),
-			fmt.Sprintf("%d", optC.skipped),
+			fmt.Sprintf("%d", naiveC.BytesDecoded),
+			fmt.Sprintf("%d", optC.BytesDecoded),
+			fmt.Sprintf("%d", optC.BytesSkipped),
 			verdict)
 	}
-	if totOpt.decoded > 0 {
+	if totOpt.BytesDecoded > 0 {
 		t.AddObs(fmt.Sprintf("pushdown: decoded %d B naive vs %d B optimized (%.1fx less), %d B skipped undecoded, %d rows zone-pruned",
-			totNaive.decoded, totOpt.decoded, float64(totNaive.decoded)/float64(totOpt.decoded), totOpt.skipped, totOpt.pruned))
+			totNaive.BytesDecoded, totOpt.BytesDecoded, float64(totNaive.BytesDecoded)/float64(totOpt.BytesDecoded), totOpt.BytesSkipped, totOpt.RowsPruned))
 	}
 
 	// EXPLAIN for the two-dimension star join, post-run: estimated vs

@@ -3,30 +3,15 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/check"
-	"repro/internal/kvstore"
+	"repro/internal/scenario"
 )
 
-// txnScenario is one E-TXN row: a chaos hook driven between capture
-// waves against a fresh sharded plane.
-type txnScenario struct {
-	name string
-	// hook runs between waves; nil for the baseline.
-	hook func(s *kvstore.Sharded, wave int)
-	// wantOK is the expected verdict — false only for the deliberate
-	// dirty-read injection, which exists to prove the checker has teeth.
-	wantOK bool
-}
-
-// ETXNTransactions drives concurrent cross-range transactions through
-// coordinator crashes at every 2PC protocol point, a replication-group
-// partition spanning the commit point, range splits racing in-flight
-// transactions, and a deliberate dirty-read injection. After every run
-// the orphan recovery path is drained and three invariants are scored:
-// the history is strictly serializable (except the dirty-read row, which
-// must be caught), no participant lock survives, and no transaction
-// record dangles.
+// ETXNTransactions runs scenario.TxnScenarios — coordinator crashes at
+// every 2PC point, a partition spanning the commit point, splits racing
+// transactions, dirty reads and the "txn" chaos preset — and scores each
+// drained run: strictly serializable (the dirty-read row must be
+// caught), no lock and no transaction record left.
 func ETXNTransactions(s Scale) *Table {
 	waves := pick(s, 8, 20)
 	clients := pick(s, 4, 6)
@@ -38,149 +23,24 @@ func ETXNTransactions(s Scale) *Table {
 			"the dirty-read row is a deliberate fault the checker must catch", clients, waves),
 		Cols: []string{"scenario", "ops", "committed", "aborted", "recovered", "locks", "pending", "strict-serial"},
 	}
-
-	crashPoints := []string{"begin", "prepare", "before-commit", "commit", "apply"}
-	scenarios := []txnScenario{
-		{name: "baseline", hook: nil, wantOK: true},
-		{name: "coord-crash", wantOK: true, hook: func(sh *kvstore.Sharded, wave int) {
-			// Rotate a one-shot coordinator crash through every protocol
-			// point; recover two waves later so orphaned locks are held
-			// across live traffic first.
-			if wave%3 == 0 {
-				_ = sh.OrphanNext(crashPoints[(wave/3)%len(crashPoints)])
-			}
-			if wave%3 == 2 {
-				_ = sh.Recover()
-			}
-		}},
-		{name: "partition-commit", wantOK: true, hook: func(sh *kvstore.Sharded, wave int) {
-			// Cut the control group (txn records + half the ranges) into
-			// leader vs followers across two waves, then heal + recover.
-			switch wave {
-			case 2, 8:
-				leader := sh.GroupLeader(0)
-				rest := make([]int, 0, 2)
-				for id := 0; id < 3; id++ {
-					if id != leader {
-						rest = append(rest, id)
-					}
-				}
-				sh.PartitionGroup(0, []int{leader}, rest)
-			case 4, 10:
-				sh.HealGroup(0)
-				_ = sh.Recover()
-			}
-		}},
-		{name: "split-race", wantOK: true, hook: func(sh *kvstore.Sharded, wave int) {
-			// Split and merge the keyspace under live transactions; a
-			// crashed split (wave 5) is left for recovery to finish.
-			switch wave {
-			case 1:
-				_ = sh.Split("k02")
-			case 3:
-				_ = sh.Split("k05")
-			case 5:
-				_ = sh.OrphanNext("split-copy")
-				_ = sh.Split("k03")
-			case 7:
-				_ = sh.Recover()
-			case 9:
-				_ = sh.Merge("k02")
-			}
-		}},
-		{name: "dirty-read", wantOK: false, hook: func(sh *kvstore.Sharded, wave int) {
-			sh.SetDirtyReads(wave >= 2)
-		}},
-	}
-
-	for _, sc := range scenarios {
-		sh := kvstore.NewSharded(kvstore.ShardedConfig{
-			Seed: 42, Groups: 2, InitialSplits: []string{"k04"},
-			MaxOpAttempts: 16, MaxTxnAttempts: 8,
-		})
-		hook := sc.hook
-		ops := check.CaptureTxnHistory(sh, check.TxnCaptureConfig{
-			Clients: clients, Waves: waves, Keys: 8, TxnKeys: 2,
-			ReadFraction: 0.3, TxnFraction: 0.4,
-			Seed:     uint64(1000 + len(sc.name)),
-			NoEffect: kvstore.NoEffect,
-			BetweenWaves: func(wave int) {
-				if hook != nil {
-					hook(sh, wave)
-				}
-			},
-		})
-		sh.SetDirtyReads(false)
-		if err := sh.Recover(); err != nil {
-			panic(fmt.Sprintf("E-TXN %s: recover: %v", sc.name, err))
-		}
-		locks, err := sh.LockCount()
+	for _, sc := range scenario.TxnScenarios() {
+		r, err := sc.Run(clients, waves)
 		if err != nil {
-			panic(err)
+			panic(fmt.Sprintf("E-TXN %s: %v", sc.Name, err))
 		}
-		pending, err := sh.PendingTxnRecords()
-		if err != nil {
-			panic(err)
-		}
-		verdict := check.CheckTxns(ops)
-		ok := verdict.OK == sc.wantOK && locks == 0 && pending == 0
-		name := "E-TXN/" + sc.name
-		diff := check.Diff{Name: name, OK: ok, Compared: verdict.Ops}
-		if !ok {
-			diff.Details = []string{fmt.Sprintf("verdict=%v want=%v locks=%d pending=%d: %s",
-				verdict.OK, sc.wantOK, locks, pending, verdict.Detail)}
+		diff := check.Diff{Name: "E-TXN/" + sc.Name, OK: true, Compared: r.Verdict.Ops}
+		if err := r.Violation(sc.WantSerial); err != nil {
+			diff.OK, diff.Details = false, []string{err.Error()}
 		}
 		recordCheck(diff)
-		t.AddRow(sc.name,
-			fmt.Sprintf("%d", len(ops)),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_committed").Value()),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_aborted").Value()),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_recovered_aborted").Value()+sh.Reg.Counter("txn_recovered_resumed").Value()),
-			fmt.Sprintf("%d", locks),
-			fmt.Sprintf("%d", pending),
+		t.AddRow(sc.Name,
+			fmt.Sprintf("%d", r.Verdict.Ops),
+			fmt.Sprintf("%d", r.Committed),
+			fmt.Sprintf("%d", r.Aborted),
+			fmt.Sprintf("%d", r.Recovered),
+			fmt.Sprintf("%d", r.Locks),
+			fmt.Sprintf("%d", r.Pending),
 			verdictCell(diff))
 	}
-
-	// Chaos-preset row: the "txn" preset replayed through the controller,
-	// one tick per wave — coordinator crashes bracketing the commit point
-	// with recovery passes in between.
-	sh := kvstore.NewSharded(kvstore.ShardedConfig{
-		Seed: 43, Groups: 2, InitialSplits: []string{"k04"},
-		MaxOpAttempts: 16, MaxTxnAttempts: 8,
-	})
-	sched, err := chaos.Preset("txn", 2)
-	if err != nil {
-		panic(err)
-	}
-	ctl := chaos.New(sched, 43, chaos.Targets{Nodes: 2, Txn: sh}, sh.Reg)
-	ops := check.CaptureTxnHistory(sh, check.TxnCaptureConfig{
-		Clients: clients, Waves: waves, Keys: 8, TxnKeys: 2,
-		ReadFraction: 0.3, TxnFraction: 0.4,
-		Seed:         2000,
-		NoEffect:     kvstore.NoEffect,
-		BetweenWaves: func(wave int) { ctl.Tick() },
-	})
-	if err := sh.Recover(); err != nil {
-		panic(err)
-	}
-	locks, _ := sh.LockCount()
-	pending, _ := sh.PendingTxnRecords()
-	verdict := check.CheckTxns(ops)
-	ok := verdict.OK && locks == 0 && pending == 0 && ctl.Done()
-	diff := check.Diff{Name: "E-TXN/chaos-preset", OK: ok, Compared: verdict.Ops}
-	if !ok {
-		diff.Details = []string{fmt.Sprintf("verdict=%v locks=%d pending=%d chaosDone=%v: %s",
-			verdict.OK, locks, pending, ctl.Done(), verdict.Detail)}
-	}
-	recordCheck(diff)
-	t.AddRow("chaos-preset",
-		fmt.Sprintf("%d", len(ops)),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_committed").Value()),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_aborted").Value()),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_recovered_aborted").Value()+sh.Reg.Counter("txn_recovered_resumed").Value()),
-		fmt.Sprintf("%d", locks),
-		fmt.Sprintf("%d", pending),
-		verdictCell(diff))
-
 	return t
 }

@@ -416,12 +416,19 @@ func (s *Sharded) Delete(ctx context.Context, key string) error {
 
 // Fault-injection and chaos surface.
 
+// TxnCrashPoints are the transaction coordinator's crash points in
+// protocol order: a crash at the first three leaves the transaction for
+// recovery to abort, one at commit or apply for recovery to resume.
+var TxnCrashPoints = []string{"begin", "prepare", "before-commit", "commit", "apply"}
+
 // validCrashPoints lists the coordinator crash points OrphanNext accepts.
-var validCrashPoints = map[string]bool{
-	"begin": true, "prepare": true, "before-commit": true,
-	"commit": true, "apply": true,
-	"split": true, "split-copy": true, "split-commit": true, "merge": true,
-}
+var validCrashPoints = func() map[string]bool {
+	valid := map[string]bool{"split": true, "split-copy": true, "split-commit": true, "merge": true}
+	for _, p := range TxnCrashPoints {
+		valid[p] = true
+	}
+	return valid
+}()
 
 // OrphanNext arms a one-shot coordinator crash at the named protocol
 // point: the next transaction (or split/merge) to reach it returns

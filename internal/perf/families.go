@@ -708,7 +708,7 @@ func runQuery(o Options) (*Result, error) {
 
 	var windows []Window
 	var totalRows, totalQueries int64
-	var scans perfScanCost
+	var scans qtable.ScanCounters
 	sum := fnv.New64a()
 	var totalWall time.Duration
 
@@ -753,7 +753,7 @@ func runQuery(o Options) (*Result, error) {
 		totalWall += wall
 		totalRows += roundRows
 		totalQueries += int64(len(suite))
-		scans = scans.add(readScanCost(eng.Reg))
+		scans = scans.Add(qtable.ReadScanCounters(eng.Reg))
 
 		tasks := eng.Reg.Histogram("task_duration_ns").Snapshot()
 		windows = append(windows, Window{
@@ -780,10 +780,10 @@ func runQuery(o Options) (*Result, error) {
 	r.Shape["queries"] = totalQueries
 	r.Shape["result_rows"] = totalRows
 	r.Shape["result_checksum"] = int64(sum.Sum64() >> 1)
-	r.Shape["rows_scanned"] = scans.scanned
-	r.Shape["rows_pruned"] = scans.pruned
-	r.Shape["bytes_decoded"] = scans.decoded
-	r.Shape["bytes_skipped"] = scans.skipped
+	r.Shape["rows_scanned"] = scans.RowsScanned
+	r.Shape["rows_pruned"] = scans.RowsPruned
+	r.Shape["bytes_decoded"] = scans.BytesDecoded
+	r.Shape["bytes_skipped"] = scans.BytesSkipped
 	r.Shape["windows"] = int64(len(windows))
 	r.Metrics["queries_per_sec"] = float64(totalQueries) / totalWall.Seconds()
 	r.Metrics["result_rows_per_sec"] = float64(totalRows) / totalWall.Seconds()
@@ -852,24 +852,4 @@ func runAvail(o Options) (*Result, error) {
 	// The only wall-clock number: probe throughput, threshold-compared.
 	r.Metrics["probes_per_sec"] = float64(totalProbes) / wall.Seconds()
 	return r, nil
-}
-
-// perfScanCost aggregates the columnar scan counters across rounds; all
-// four are seed-deterministic (encoding and plans are pure functions of
-// the generated data), so they gate as shape.
-type perfScanCost struct {
-	scanned, pruned, decoded, skipped int64
-}
-
-func (a perfScanCost) add(b perfScanCost) perfScanCost {
-	return perfScanCost{a.scanned + b.scanned, a.pruned + b.pruned, a.decoded + b.decoded, a.skipped + b.skipped}
-}
-
-func readScanCost(reg *metrics.Registry) perfScanCost {
-	return perfScanCost{
-		scanned: reg.Counter(qtable.CtrRowsScanned).Value(),
-		pruned:  reg.Counter(qtable.CtrRowsPruned).Value(),
-		decoded: reg.Counter(qtable.CtrBytesDecoded).Value(),
-		skipped: reg.Counter(qtable.CtrBytesSkipped).Value(),
-	}
 }

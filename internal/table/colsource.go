@@ -178,6 +178,35 @@ const (
 	CtrPredEvals    = "sql_pred_evals"
 )
 
+// ScanCounters is a snapshot of the scan counters that measure pushdown.
+// The counters are cumulative per registry: Sub gives one run's share,
+// Add totals runs.
+type ScanCounters struct {
+	RowsScanned, RowsPruned, BytesDecoded, BytesSkipped int64
+}
+
+// ReadScanCounters snapshots reg's scan counters.
+func ReadScanCounters(reg *metrics.Registry) ScanCounters {
+	return ScanCounters{
+		RowsScanned:  reg.Counter(CtrRowsScanned).Value(),
+		RowsPruned:   reg.Counter(CtrRowsPruned).Value(),
+		BytesDecoded: reg.Counter(CtrBytesDecoded).Value(),
+		BytesSkipped: reg.Counter(CtrBytesSkipped).Value(),
+	}
+}
+
+// Add returns a + b.
+func (a ScanCounters) Add(b ScanCounters) ScanCounters {
+	return ScanCounters{a.RowsScanned + b.RowsScanned, a.RowsPruned + b.RowsPruned,
+		a.BytesDecoded + b.BytesDecoded, a.BytesSkipped + b.BytesSkipped}
+}
+
+// Sub returns a - b.
+func (a ScanCounters) Sub(b ScanCounters) ScanCounters {
+	return ScanCounters{a.RowsScanned - b.RowsScanned, a.RowsPruned - b.RowsPruned,
+		a.BytesDecoded - b.BytesDecoded, a.BytesSkipped - b.BytesSkipped}
+}
+
 // Scan builds a lazy Table over the columnar data. preds are pushed
 // predicates ANDed together; needed lists the schema column indexes the
 // output rows carry, in output order (nil = all columns). Chunk decode

@@ -1,16 +1,14 @@
 package hpbdc
 
 // Acceptance gate for the range-sharded transactional data plane
-// (ISSUE 8, E-TXN): concurrent cross-range 2PC transactions survive a
-// gauntlet of coordinator crashes at every protocol point, replication-
-// group partitions spanning the commit point, and range splits/merges
-// racing in-flight transactions — and after recovery the history must
-// verdict strictly serializable with zero dangling locks and zero
-// pending transaction records. A coordinator crash between prepare and
-// commit must always resolve (abort or resume, never dangling), and a
-// deliberate dirty-read injection must be caught by the checker. Runs
-// under -race in CI (scripts/verify.sh). Seeds default to 7 and 42;
-// widen with TXN_SEEDS="7,11,42".
+// (E-TXN): cross-range 2PC transactions under coordinator crashes at
+// every protocol point, control-group partitions spanning the commit
+// point and splits/merges racing in-flight transactions must, after
+// recovery, verdict strictly serializable with zero locks and zero
+// pending transaction records; each crash point must fire once and
+// resolve; dirty reads must be caught. Plane, hooks and drain-and-verify
+// come from internal/scenario. Runs under -race in CI; seeds default to
+// 7 and 42, widen with TXN_SEEDS="7,11,42".
 
 import (
 	"strconv"
@@ -18,30 +16,19 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/kvstore"
+	"repro/internal/scenario"
 )
 
-func txnPlane(seed uint64) *kvstore.Sharded {
-	return kvstore.NewSharded(kvstore.ShardedConfig{
-		Seed: seed, Groups: 2, InitialSplits: []string{"k04"},
-		MaxOpAttempts: 16, MaxTxnAttempts: 8,
-	})
-}
-
-// drainAndVerify recovers the plane and asserts the three acceptance
-// invariants: strictly serializable history, zero locks, zero records.
-func drainAndVerify(t *testing.T, s *kvstore.Sharded, ops []check.TxnOp, label string) {
+// drained fails the test unless the final drain-and-verify of s holds
+// every invariant with a strictly serializable verdict.
+func drained(t *testing.T, s *kvstore.Sharded, ops []check.TxnOp, label string) {
 	t.Helper()
-	if err := s.Recover(); err != nil {
-		t.Fatalf("%s: Recover: %v", label, err)
+	d, err := scenario.DrainTxns(s, ops)
+	if err == nil {
+		err = d.Violation(true)
 	}
-	if n, err := s.LockCount(); err != nil || n != 0 {
-		t.Fatalf("%s: locks after recovery = (%d, %v), want 0", label, n, err)
-	}
-	if n, err := s.PendingTxnRecords(); err != nil || n != 0 {
-		t.Fatalf("%s: dangling txn records = (%d, %v), want 0", label, n, err)
-	}
-	if out := check.CheckTxns(ops); !out.OK {
-		t.Fatalf("%s: history not strictly serializable over %d ops: %s", label, out.Ops, out.Detail)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -51,68 +38,72 @@ func drainAndVerify(t *testing.T, s *kvstore.Sharded, ops []check.TxnOp, label s
 // spanning several waves — and must come out strictly serializable with
 // nothing dangling.
 func TestTxnAcceptanceGauntlet(t *testing.T) {
-	crashPoints := []string{"begin", "prepare", "before-commit", "commit", "apply"}
 	for _, seed := range envSeeds(t, "TXN_SEEDS", 7, 42) {
 		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
-			s := txnPlane(seed)
+			s := scenario.TxnPlane(seed)
 			ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
-				Clients: 4, Waves: 24, Keys: 8, TxnKeys: 2,
-				ReadFraction: 0.3, TxnFraction: 0.4,
-				Seed:     seed,
-				NoEffect: kvstore.NoEffect,
+				Clients: 4, Waves: 24, Seed: seed,
 				BetweenWaves: func(wave int) {
-					switch {
-					case wave == 3:
+					switch wave {
+					case 3:
 						_ = s.Split("k02")
-					case wave == 11:
-						leader := s.GroupLeader(0)
-						rest := make([]int, 0, 2)
-						for id := 0; id < 3; id++ {
-							if id != leader {
-								rest = append(rest, id)
-							}
-						}
-						s.PartitionGroup(0, []int{leader}, rest)
-					case wave == 14:
-						s.HealGroup(0)
-						_ = s.Recover()
-					case wave == 18:
+					case 11:
+						scenario.IsolateLeader(s)
+					case 14:
+						scenario.HealLeader(s)
+					case 18:
 						_ = s.Merge("k02")
-					case wave%4 == 1:
-						_ = s.OrphanNext(crashPoints[(wave/4)%len(crashPoints)])
-					case wave%4 == 3:
-						_ = s.Recover()
+					default:
+						scenario.RotateCrash(s, wave, 4, 1)
 					}
 				},
 			})
 			if len(ops) == 0 {
 				t.Fatal("gauntlet produced an empty history")
 			}
-			drainAndVerify(t, s, ops, "gauntlet")
+			drained(t, s, ops, "gauntlet")
 		})
 	}
 }
 
 // TestTxnAcceptanceEveryCrashPointResolves pins the per-point contract:
-// a coordinator orphaned at any protocol point leaves a plane that one
-// recovery pass returns to zero locks and zero records, with the
-// transaction either fully applied or fully absent.
+// a coordinator crash armed at any protocol point fires exactly once,
+// and one recovery pass returns the plane to zero locks and zero records
+// — aborting a transaction orphaned before its commit record, resuming
+// one orphaned after it.
 func TestTxnAcceptanceEveryCrashPointResolves(t *testing.T) {
-	for _, point := range []string{"begin", "prepare", "before-commit", "commit", "apply"} {
+	seeds := envSeeds(t, "TXN_SEEDS", 7)
+	for _, point := range kvstore.TxnCrashPoints {
+		wantAborted, wantResumed := int64(1), int64(0)
+		if point == "commit" || point == "apply" {
+			wantAborted, wantResumed = 0, 1
+		}
 		t.Run(point, func(t *testing.T) {
-			s := txnPlane(7)
-			ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
-				Clients: 3, Waves: 8, Keys: 6, TxnKeys: 2,
-				TxnFraction: 0.6, ReadFraction: 0.2,
-				Seed:     99,
-				NoEffect: kvstore.NoEffect,
-				BetweenWaves: func(wave int) {
-					if wave == 2 {
-						_ = s.OrphanNext(point)
-					}
-				},
-			})
-			drainAndVerify(t, s, ops, point)
+			for _, seed := range seeds {
+				s := scenario.TxnPlane(seed)
+				ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
+					Clients: 3, Waves: 8, Keys: 6,
+					TxnFraction: 0.6, ReadFraction: 0.2,
+					Seed: 99,
+					BetweenWaves: func(wave int) {
+						if wave != 2 {
+							return
+						}
+						if err := s.OrphanNext(point); err != nil {
+							t.Fatalf("seed %d: OrphanNext: %v", seed, err)
+						}
+					},
+				})
+				label := point + "/seed-" + strconv.FormatUint(seed, 10)
+				drained(t, s, ops, label)
+				orphaned := s.Reg.Counter("txn_orphaned").Value()
+				aborted := s.Reg.Counter("txn_recovered_aborted").Value()
+				resumed := s.Reg.Counter("txn_recovered_resumed").Value()
+				if orphaned != 1 || aborted != wantAborted || resumed != wantResumed {
+					t.Fatalf("%s: orphaned %d, recovery aborted %d and resumed %d; want 1, %d, %d",
+						label, orphaned, aborted, resumed, wantAborted, wantResumed)
+				}
+			}
 		})
 	}
 }
@@ -124,13 +115,12 @@ func TestTxnAcceptanceEveryCrashPointResolves(t *testing.T) {
 func TestTxnAcceptanceDirtyReadCaught(t *testing.T) {
 	caught := false
 	for seed := uint64(7); seed < 12 && !caught; seed++ {
-		s := txnPlane(seed)
+		s := scenario.TxnPlane(seed)
 		ops := check.CaptureTxnHistory(s, check.TxnCaptureConfig{
-			Clients: 4, Waves: 10, Keys: 4, TxnKeys: 2,
+			Clients: 4, Waves: 10, Keys: 4,
 			ReadFraction: 0.5, TxnFraction: 0.3,
 			Seed:         seed,
-			NoEffect:     kvstore.NoEffect,
-			BetweenWaves: func(wave int) { s.SetDirtyReads(wave >= 2) },
+			BetweenWaves: func(wave int) { scenario.DirtyReads(s, wave) },
 		})
 		s.SetDirtyReads(false)
 		caught = !check.CheckTxns(ops).OK
@@ -138,13 +128,9 @@ func TestTxnAcceptanceDirtyReadCaught(t *testing.T) {
 			// Same config with the injection off: the verdict flips back.
 			// A fresh plane, because the checker models a store that
 			// starts empty and the dirty run left unexplained residue.
-			fresh := txnPlane(seed)
-			clean := check.CaptureTxnHistory(fresh, check.TxnCaptureConfig{
-				Clients: 3, Waves: 6, Keys: 4, TxnKeys: 2,
-				Seed:     seed + 100,
-				NoEffect: kvstore.NoEffect,
-			})
-			drainAndVerify(t, fresh, clean, "clean-after-dirty")
+			fresh := scenario.TxnPlane(seed)
+			clean := check.CaptureTxnHistory(fresh, check.TxnCaptureConfig{Clients: 3, Waves: 6, Keys: 4, Seed: seed + 100})
+			drained(t, fresh, clean, "clean-after-dirty")
 		}
 	}
 	if !caught {
